@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bases
-from .bases import BasisFamily, ComplementLabel, GhzLabel, JointLabel
+from .bases import BasisFamily
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
@@ -24,11 +24,12 @@ from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
     ProtocolSpec,
+    _is_zero_forced,
+    _outcome_table,
     barred_equivalence_check,
     compose_joint_state,
     correction_for,
     enumerate_outcomes,
-    measurement_family,
 )
 
 
@@ -64,18 +65,6 @@ def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
     return specs
 
 
-def _is_zero_forced(spec: ProtocolSpec, label) -> bool:
-    """Outcomes that the protocol structure forbids: nonzero slot-2 shift in
-    the GHZ family, or any complement ket."""
-    if isinstance(label, ComplementLabel):
-        return True
-    if isinstance(label, JointLabel) and isinstance(label.tail, ComplementLabel):
-        return True
-    if spec.kind is ProtocolKind.GHZ and isinstance(label, GhzLabel):
-        return label.n != 0
-    return False
-
-
 def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
@@ -98,19 +87,23 @@ def run_all_checks(
     uniformity_err = 0.0
     phase_err = 0.0
 
+    # Outcomes with the same (shift, phase) share one operator: check each once.
+    corrections = {}
+    for spec in specs:
+        for label in _outcome_table(spec).labels:
+            op = correction_for(spec, label)
+            corrections[id(op)] = op
+    eye = np.eye(d ** m)
+    for correction in corrections.values():
+        if not (correction.adjoint() @ correction).is_identity():
+            unitarity_err = max(unitarity_err, 1.0)
+        mat = correction.matrix()
+        unitarity_err = max(
+            unitarity_err, float(np.abs(mat.conj().T @ mat - eye).max())
+        )
+
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
-        family = measurement_family(spec)
-        eye = np.eye(family.shape.d ** m)
-        for label, _ in family.states:
-            correction = correction_for(spec, label)
-            if not (correction.adjoint() @ correction).is_identity():
-                unitarity_err = max(unitarity_err, 1.0)
-            mat = correction.matrix()
-            unitarity_err = max(
-                unitarity_err, float(np.abs(mat.conj().T @ mat - eye).max())
-            )
-
         base_records = None
         for cat in cats:
             records = enumerate_outcomes(cat, spec, max_dim=max_dim)
@@ -120,10 +113,10 @@ def run_all_checks(
                 sum_err, abs(sum(r.probability for r in records) - 1.0)
             )
             expected_p = 1.0 / sum(
-                1 for r in records if not _is_zero_forced(spec, r.label)
+                1 for r in records if not _is_zero_forced(r.label)
             )
             for record in records:
-                if _is_zero_forced(spec, record.label):
+                if _is_zero_forced(record.label):
                     selection_err = max(selection_err, record.probability)
                 else:
                     uniformity_err = max(

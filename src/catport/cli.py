@@ -62,6 +62,8 @@ def load_cat_file(path: str) -> CatState:
         raise CliError(f"cannot read cat-state file {path}: {exc}") from exc
     if coeffs.shape != (d,):
         raise CliError(f"cat-state file lists {coeffs.size} coefficients for d={d}")
+    if not np.isfinite(coeffs).all():
+        raise CliError(f"cat-state file {path} has non-finite coefficients")
     nrm = float(np.linalg.norm(coeffs))
     if abs(nrm - 1.0) > NORM_INPUT_TOL:
         raise CliError(f"cat-state coefficients have norm {nrm!r}")
@@ -165,8 +167,11 @@ def _cost_doc(row) -> dict:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out_path).write_bytes(text.encode("utf-8"))
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _json_text(doc) -> str:

@@ -129,6 +129,8 @@ class PureState:
             raise ShapeMismatchError(
                 f"expected {shape.total} amplitudes, got array of shape {amps.shape}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite (no NaN or inf)")
         if normalized:
             nrm = float(np.linalg.norm(amps))
             if abs(nrm - 1.0) > NORM_TOL:
@@ -255,6 +257,8 @@ class CatState:
             raise ValueError(f"need at least one particle, got {m}")
         if coeffs.shape != (d,):
             raise ShapeMismatchError(f"expected {d} coefficients, got {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite (no NaN or inf)")
         nrm = float(np.linalg.norm(coeffs))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"coefficients have norm {nrm!r}, expected 1")

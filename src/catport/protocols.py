@@ -21,6 +21,12 @@ outcome's ``m`` index and rephase the repeated-digit sector by the outcome's
 total phase exponent. Branch states only ever occupy that sector, so the
 off-sector extension (a plain digit shift) is unobservable but keeps the
 operator unitary on the whole space.
+
+Enumeration and sampling never build the joint register or the measurement
+family. The joint state (1/sqrt(d)) sum_{l,i} alpha_l |l..l>|i>|i..i> has
+only d**2 nonzero amplitudes, so each outcome's branch is a d-vector on the
+receiver's repeated-digit sector, fixed in closed form by the outcome's
+(shift, phase) pair. The dense projection survives only as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from itertools import product
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,7 +58,6 @@ from .core import (
     cat_sector_indices,
     cat_to_pure_state,
     digit_table,
-    inner,
     tensor,
     uniform_superposition_chain,
 )
@@ -199,13 +205,15 @@ def monomial_tensor(a: MonomialOperator, b: MonomialOperator) -> MonomialOperato
     return MonomialOperator(a.d, a.num_qudits + b.num_qudits, perm, phases)
 
 
+@lru_cache(maxsize=256)
 def cat_sector_correction(
     d: int, num_qudits: int, phase_power: int, shift: int
 ) -> MonomialOperator:
     """Correction mapping |(j+shift)...(j+shift)> to exp(2*pi*i*j*phase_power/d)|j...j>.
 
     Off the repeated-digit sector the operator shifts every digit down with
-    no phase, which keeps it monomial and unitary everywhere.
+    no phase, which keeps it monomial and unitary everywhere. There are d**2
+    of these per register; results are memoized and shared.
     """
     digits, powers = digit_table(d, num_qudits)
     target = (digits - shift) % d
@@ -233,6 +241,16 @@ class EquivalenceReport:
     max_state_delta: float
 
 
+def _check_inputs(cat: CatState, spec: ProtocolSpec, max_dim: int) -> None:
+    """The cat must fit the protocol, and the joint register the size cap."""
+    if (cat.d, cat.m) != (spec.d, spec.m):
+        raise ValueError(
+            f"cat state (d={cat.d}, m={cat.m}) does not match "
+            f"protocol (d={spec.d}, m={spec.m})"
+        )
+    RegisterShape(spec.d, 2 * spec.m + 1, max_dim=max_dim)
+
+
 def compose_joint_state(
     cat: CatState, spec: ProtocolSpec, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> PureState:
@@ -240,12 +258,7 @@ def compose_joint_state(
 
     The sender holds particles 1..m+1, the receiver m+2..2m+1.
     """
-    if (cat.d, cat.m) != (spec.d, spec.m):
-        raise ValueError(
-            f"cat state (d={cat.d}, m={cat.m}) does not match "
-            f"protocol (d={spec.d}, m={spec.m})"
-        )
-    RegisterShape(spec.d, 2 * spec.m + 1, max_dim=max_dim)
+    _check_inputs(cat, spec, max_dim)
     return tensor(
         cat_to_pure_state(cat, max_dim=max_dim),
         uniform_superposition_chain(spec.d, spec.m + 1, max_dim=max_dim),
@@ -312,18 +325,23 @@ def _shift_and_phase(spec: ProtocolSpec, label: BasisLabel) -> Optional[tuple[in
     return _bell(label.tail, sum(label.alphas))
 
 
+def _is_zero_forced(label: BasisLabel) -> bool:
+    """Outcomes the protocol structure forbids, whatever the cat state: any
+    complement ket, and a nonzero slot-2 shift in the GHZ family."""
+    tail = label.tail if isinstance(label, JointLabel) else label
+    return isinstance(tail, ComplementLabel) or (isinstance(tail, GhzLabel) and tail.n != 0)
+
+
 @lru_cache(maxsize=200_000)
 def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
     """Receiver-side unitary for one outcome.
 
-    Complement outcomes never occur, so they get the identity; any unitary
-    would do there. Results are memoized; operators are immutable and safe
-    to share.
+    Complement outcomes never occur, so they get the identity (zero shift
+    and phase); any unitary would do there. Outcomes with the same
+    (shift, phase) pair share one immutable operator, so a register has at
+    most d**2 distinct corrections.
     """
-    params = _shift_and_phase(spec, label)
-    if params is None:
-        return MonomialOperator.identity(spec.d, spec.m)
-    shift, phase_power = params
+    shift, phase_power = _shift_and_phase(spec, label) or (0, 0)
     return cat_sector_correction(spec.d, spec.m, phase_power, shift)
 
 
@@ -332,66 +350,182 @@ def apply_correction(record: OutcomeRecord) -> PureState:
     return record.correction.apply(record.bob_pre_correction)
 
 
+class _OutcomeTable(NamedTuple):
+    """Every outcome of one protocol, in its measurement family's label order.
+
+    ``shift`` and ``phase`` hold each label's pair from
+    :func:`_shift_and_phase` (zero where it has none), ``nonzero`` the
+    structural flag, and ``rows`` the positions of the nonzero outcomes,
+    ascending.
+    """
+
+    labels: tuple[BasisLabel, ...]
+    shift: np.ndarray
+    phase: np.ndarray
+    nonzero: np.ndarray
+    rows: np.ndarray
+
+
+def _complement_labels(d: int, num_qudits: int, block: slice) -> list[BasisLabel]:
+    """Kets whose ``block`` digits are not all equal, in lex order."""
+    return [
+        ComplementLabel(digits)
+        for digits in product(range(d), repeat=num_qudits)
+        if len(set(digits[block])) > 1
+    ]
+
+
+def _barred_labels(d: int, block: int) -> list[BasisLabel]:
+    """Labels of the barred Bell family whose repeated block has ``block`` digits."""
+    bell: list[BasisLabel] = [BellLabel(n, s) for n, s in product(range(d), repeat=2)]
+    return bell + _complement_labels(d, block + 1, slice(0, block))
+
+
+def _family_labels(spec: ProtocolSpec) -> list[BasisLabel]:
+    """The labels of ``measurement_family(spec)`` in its order, built without its states."""
+    d, m = spec.d, spec.m
+    if spec.kind is ProtocolKind.GHZ:
+        ghz: list[BasisLabel] = [GhzLabel(*nmk) for nmk in product(range(d), repeat=3)]
+        return ghz + _complement_labels(d, m + 1, slice(1, m))
+    if spec.kind is ProtocolKind.BARRED:
+        return _barred_labels(d, m)
+    num_pi = m - 1 if spec.kind is ProtocolKind.BELL else spec.hybrid_k - 2
+    return [
+        JointLabel(alphas, tail)
+        for tail in _barred_labels(d, m - num_pi)
+        for alphas in product(range(d), repeat=num_pi)
+    ]
+
+
+@lru_cache(maxsize=128)
+def _outcome_table(spec: ProtocolSpec) -> _OutcomeTable:
+    labels = tuple(_family_labels(spec))
+    params = [_shift_and_phase(spec, label) or (0, 0) for label in labels]
+    shift, phase = np.array(params, dtype=np.int64).T.copy()
+    nonzero = np.array([not _is_zero_forced(label) for label in labels])
+    rows = np.flatnonzero(nonzero)
+    for array in (shift, phase, nonzero, rows):
+        array.setflags(write=False)
+    return _OutcomeTable(labels, shift, phase, nonzero, rows)
+
+
+@lru_cache(maxsize=64)
+def _roots(d: int) -> np.ndarray:
+    """exp(2*pi*i*e/d) for e = 0..d-1, rounded as MonomialOperator rounds its phases."""
+    roots = np.exp(2j * np.pi * (np.arange(d) / d))
+    roots.setflags(write=False)
+    return roots
+
+
+def _sector_branches(cat: CatState, table: _OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's unnormalized branch on the sector |i..i>, one row per nonzero
+    outcome, and its probability.
+
+    The row of an outcome with pair (shift, phase) is
+    b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with l = i - shift mod d,
+    where d**k is the number of nonzero outcomes.
+    """
+    d = cat.d
+    source = (np.arange(d) - table.shift[table.rows, None]) % d
+    rephase = _roots(d)[(source * table.phase[table.rows, None]) % d].conj()
+    branches = cat.coeffs[source] * rephase / math.sqrt(table.rows.size)
+    probabilities = np.einsum("ij,ij->i", branches.conj(), branches).real
+    return branches, probabilities
+
+
+def _sector_state(shape: RegisterShape, values: np.ndarray) -> PureState:
+    amps = np.zeros(shape.total, dtype=np.complex128)
+    amps[cat_sector_indices(shape.d, shape.num_qudits)] = values
+    return PureState(shape, amps)
+
+
+def _nonzero_records(
+    cat: CatState,
+    spec: ProtocolSpec,
+    table: _OutcomeTable,
+    positions,
+    branches: np.ndarray,
+    probabilities: np.ndarray,
+    bob_shape: RegisterShape,
+) -> list[OutcomeRecord]:
+    """Records of the nonzero outcomes ``table.rows[positions]``.
+
+    The correction acts on the sector as ``MonomialOperator.apply`` does:
+    entry j of the result is entry j + shift of the branch times
+    omega**(j * phase).
+    """
+    d = cat.d
+    digits = np.arange(d)
+    rows = table.rows[positions]
+    chosen = probabilities[positions]
+    pre = branches[positions] / np.sqrt(chosen)[:, None]
+    post = pre[np.arange(rows.size)[:, None], (digits + table.shift[rows, None]) % d]
+    post *= _roots(d)[(digits * table.phase[rows, None]) % d]
+    fidelities = np.abs(post @ cat.coeffs.conj()) ** 2
+    return [
+        OutcomeRecord(
+            label=table.labels[row],
+            probability=float(probability),
+            bob_pre_correction=_sector_state(bob_shape, pre_row),
+            correction=correction_for(spec, table.labels[row]),
+            bob_post_correction=_sector_state(bob_shape, post_row),
+            fidelity=float(fidelity),
+        )
+        for row, probability, pre_row, post_row, fidelity in zip(
+            rows, chosen, pre, post, fidelities
+        )
+    ]
+
+
 def enumerate_outcomes(
     cat: CatState, spec: ProtocolSpec, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[OutcomeRecord]:
     """One record per measurement outcome, in the family's label order.
 
-    Probabilities are squared norms of the projected branches; outcomes at
-    or below the probability floor carry a zero pre-correction state and
-    fidelity 0.
+    Probabilities are squared norms of the branches. Outcomes the protocol
+    structure forbids have probability 0.0, fidelity 0.0 and a shared zero
+    receiver state. ``max_dim`` caps the joint register d**(2m+1), which
+    is never allocated.
     """
-    joint = compose_joint_state(cat, spec, max_dim=max_dim)
-    family = measurement_family(spec)
-    target = cat_to_pure_state(cat, max_dim=max_dim)
+    _check_inputs(cat, spec, max_dim)
+    table = _outcome_table(spec)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-
-    joint_block = joint.amps.reshape(family.shape.total, bob_shape.total)
-    branches = family.matrix().conj() @ joint_block
-    probabilities = np.einsum("ij,ij->i", branches.conj(), branches).real
-
-    records = []
-    for (label, _), branch, probability in zip(family.states, branches, probabilities):
-        correction = correction_for(spec, label)
-        if probability > PROB_FLOOR:
-            pre = PureState(bob_shape, branch / math.sqrt(probability))
-            post = correction.apply(pre)
-            fidelity = abs(inner(target, post)) ** 2
-        else:
-            pre = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
-            post = pre
-            fidelity = 0.0
-        records.append(
-            OutcomeRecord(
-                label=label,
-                probability=float(probability),
-                bob_pre_correction=pre,
-                correction=correction,
-                bob_post_correction=post,
-                fidelity=float(fidelity),
-            )
+    branches, probabilities = _sector_branches(cat, table)
+    nonzero = iter(
+        _nonzero_records(
+            cat, spec, table, slice(None), branches, probabilities, bob_shape
         )
-    return records
+    )
+    zero = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
+    return [
+        next(nonzero)
+        if flag
+        else OutcomeRecord(label, 0.0, zero, correction_for(spec, label), zero, 0.0)
+        for label, flag in zip(table.labels, table.nonzero)
+    ]
 
 
 def run_protocol(
     cat: CatState, spec: ProtocolSpec, seed: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> OutcomeRecord:
-    """Sample one outcome by inverse CDF over the label-ordered records.
+    """Sample one outcome by inverse CDF over the label-ordered probabilities.
 
     Deterministic for a fixed seed; zero-probability outcomes are never
-    sampled.
+    sampled, and if rounding leaves the total short of the draw the last
+    nonzero outcome is taken. Only the sampled record is built.
     """
-    records = enumerate_outcomes(cat, spec, max_dim=max_dim)
+    _check_inputs(cat, spec, max_dim)
+    table = _outcome_table(spec)
+    branches, probabilities = _sector_branches(cat, table)
     u = float(np.random.default_rng(seed).random())
-    acc = 0.0
-    for record in records:
-        if record.probability <= 0.0:
-            continue
-        acc += record.probability
-        if u < acc:
-            return record
-    return next(r for r in reversed(records) if r.probability > 0.0)
+    # cumsum adds in label order, like a running float sum; zero outcomes
+    # would add exactly nothing, so leaving them out picks the same record.
+    position = int(np.searchsorted(np.cumsum(probabilities), u, side="right"))
+    position = min(position, probabilities.size - 1)
+    bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
+    return _nonzero_records(
+        cat, spec, table, [position], branches, probabilities, bob_shape
+    )[0]
 
 
 def _sector_view(state: PureState) -> tuple[np.ndarray, float]:

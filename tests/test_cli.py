@@ -210,6 +210,30 @@ class TestExitCodes:
         assert code == 1
         assert "norm" in err
 
+    @pytest.mark.parametrize("command", ["enumerate", "run"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cat_file(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": 2, "m": 2, "coeffs": [[bad, 0], [1, 0]]}))
+        code, out, err = run_cli(
+            capsys, [command, "--protocol", "bell", "--coeffs-file", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys,
+            ["enumerate", "--protocol", "bell", "--d", "2", "--m", "2",
+             "--out", str(target)],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write") and str(target) in err
+        assert not target.exists()
+
     def test_near_unit_norm_is_renormalized(self, tmp_path, capsys):
         wobble = 1 + 5e-10
         path = tmp_path / "near.json"

@@ -115,6 +115,12 @@ class TestPureState:
             PureState(shape, [0.5, 0.5])
         PureState(shape, [0.5, 0.5], normalized=False)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_rejects_non_finite_amplitudes(self, bad, normalized):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(RegisterShape(2, 1), [1.0, bad], normalized=normalized)
+
     def test_amps_read_only(self):
         ket = basis_ket(RegisterShape(2, 1), (0,))
         with pytest.raises(ValueError):
@@ -300,6 +306,12 @@ class TestCatState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             CatState(2, 1, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        # abs(nan - 1) > tol is False, so a norm check alone lets NaN through
+        with pytest.raises(ValueError, match="finite"):
+            CatState(2, 2, [1.0, bad])
 
 
 class TestRandomCatState:
