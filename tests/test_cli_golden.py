@@ -1,0 +1,105 @@
+"""Golden outputs of the ``qt`` CLI.
+
+Each case's stdout is stored in ``tests/golden``. Exit codes, labels and
+their order, counts, every other string and integer, and the whole ``cost``
+output must match exactly. Other floats may differ by 1e-15, so that a
+last-digit rounding difference between numpy builds does not fail the test.
+
+After an intended output change, regenerate the files with
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from catport.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+FLOAT_TOL = 1e-15
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for kind, d, m, k in [("bell", 3, 2, None), ("ghz", 3, 2, None),
+                          ("barred", 3, 2, None), ("hybrid", 2, 3, 3)]:
+        spec = ["--protocol", kind, "--d", str(d), "--m", str(m), "--seed", "7"]
+        spec += ["--k", str(k)] if k else []
+        stem = f"{kind}-{d}-{m}" + (f"-k{k}" if k else "")
+        for command in ("run", "enumerate"):
+            for fmt in ("json", "csv"):
+                cases[f"{command}-{stem}.{fmt}"] = [command, *spec, "--format", fmt]
+    for fmt in ("json", "csv"):
+        cases[f"cost-3-4.{fmt}"] = ["cost", "--d", "3", "--m", "4", "--format", fmt]
+        cases[f"cost-hybrids-3-4.{fmt}"] = [
+            "cost", "--d", "3", "--m", "4", "--hybrids", "--format", fmt]
+    cases["verify-3-2.csv"] = ["verify", "--d", "3", "--m", "2", "--seeds", "3",
+                               "--format", "csv"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _same_cell(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        return math.isclose(float(got), float(want), rel_tol=0.0, abs_tol=FLOAT_TOL)
+    except ValueError:
+        return False
+
+
+def _assert_same_json(got, want, path="$"):
+    assert type(got) is type(want), f"{path}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} != {list(want)}"
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_same_json(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=0.0, abs_tol=FLOAT_TOL), (
+            f"{path}: {got!r} != {want!r}")
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name):
+    code, out = _run(CASES[name])
+    assert code == 0
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.startswith("cost"):
+        assert out == want
+    elif name.endswith(".json"):
+        _assert_same_json(json.loads(out), json.loads(want))
+    else:
+        got_rows = list(csv.reader(io.StringIO(out)))
+        want_rows = list(csv.reader(io.StringIO(want)))
+        assert len(got_rows) == len(want_rows)
+        for got_row, want_row in zip(got_rows, want_rows):
+            assert len(got_row) == len(want_row)
+            assert all(map(_same_cell, got_row, want_row)), f"{got_row} != {want_row}"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = _run(argv)
+        assert code == 0, (name, code)
+        (GOLDEN / name).write_text(out, encoding="utf-8")
