@@ -17,8 +17,9 @@ from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
     ProtocolSpec,
-    _KIND_ORDER,
     enumerate_outcomes,
+    ladder_k,
+    protocol_specs,
 )
 
 
@@ -32,23 +33,14 @@ class CostRow:
     collective_measurement_arity: int
 
 
-def _effective_k(spec: ProtocolSpec) -> int:
-    """The protocol's position on the bits-vs-collectivity ladder."""
-    if spec.kind is ProtocolKind.BELL:
-        return spec.m + 1
-    if spec.kind is ProtocolKind.HYBRID:
-        return spec.hybrid_k
-    return 2
-
-
 def nonzero_outcome_count(spec: ProtocolSpec) -> int:
     """d**2 for the collective protocols, d**(m+1) for Bell, d**k for hybrids."""
-    return spec.d ** _effective_k(spec)
+    return spec.d ** ladder_k(spec)
 
 
 def collective_measurement_arity(spec: ProtocolSpec) -> int:
     """Particles measured jointly: m - k + 3 on the ladder."""
-    return spec.m - _effective_k(spec) + 3
+    return spec.m - ladder_k(spec) + 3
 
 
 def cost_of(
@@ -100,7 +92,7 @@ def cost_table(
     cross_check: bool = False,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> list[CostRow]:
-    """Rows for every (d, m) pair, ordered by (d, m, kind, k).
+    """Rows for every (d, m) pair, ordered by d, m, then ladder order.
 
     Each pair contributes the Bell, GHZ and barred rows, plus the full
     hybrid ladder k = 2..m+1 when ``include_hybrids`` is set.
@@ -112,18 +104,9 @@ def cost_table(
     rows = []
     for d in d_values:
         for m in m_values:
-            specs = [ProtocolSpec(ProtocolKind.BELL, d, m)]
-            if m >= 2:
-                specs.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
-            specs.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
-            if include_hybrids:
-                specs.extend(
-                    ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k)
-                    for k in range(2, m + 2)
-                )
-            specs.sort(key=lambda s: (_KIND_ORDER[s.kind], s.hybrid_k or 0))
             rows.extend(
                 cost_of(spec, cross_check=cross_check, max_dim=max_dim)
-                for spec in specs
+                for spec in protocol_specs(d, m)
+                if include_hybrids or spec.kind is not ProtocolKind.HYBRID
             )
     return rows

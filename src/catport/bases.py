@@ -6,7 +6,8 @@ is a block of repeated digits. Families that only span a digit-string
 sector (barred, block-GHZ) are completed to a full orthonormal basis by
 appending the computational kets outside that sector; those kets are
 already orthonormal and orthogonal to the sector, so no re-orthogonalization
-step is needed.
+step is needed. The label functions fix each family's order, and every
+family is built label-first by mapping its labels to their states.
 
 All phases follow the single convention exp(+2*pi*i*x/d); conjugations
 enter only through inner products.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, reduce
 from itertools import product
 from typing import Union
 
@@ -26,7 +28,7 @@ from .core import (
     PureState,
     RangeError,
     RegisterShape,
-    digit_table,
+    basis_ket,
     tensor,
     unit_phase,
 )
@@ -187,13 +189,7 @@ class BasisReport:
 
 def bell_basis_state(d: int, label: BellLabel) -> PureState:
     """Two-qudit state with amplitude exp(2*pi*i*j*n/d)/sqrt(d) on (j, j+m)."""
-    n = _check_component(label.n, d, "n")
-    m = _check_component(label.m, d, "m")
-    shape = RegisterShape(d, 2)
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    for j in range(d):
-        amps[j * d + (j + m) % d] = unit_phase(j * n, d) / math.sqrt(d)
-    return PureState(shape, amps)
+    return barred_bell_basis_state(d, 1, label)
 
 
 def pi_basis_state(d: int, label: PiLabel) -> PureState:
@@ -266,48 +262,74 @@ class BasisFamily(Enum):
     BARRED = "barred"
 
 
-def _complement_kets(shape: RegisterShape, block_axes: slice):
-    """Computational kets whose block digits are not all equal, in lex order.
+def complement_labels(d: int, num_qudits: int, block: slice) -> list[BasisLabel]:
+    """Kets whose ``block`` digits are not all equal, in lex order.
 
     These are exactly the kets outside the repeated-digit sector, so they
     are orthonormal and orthogonal to every sector state; appending them is
     the (here trivial) Gram-Schmidt completion.
     """
-    digits, _ = digit_table(shape.d, shape.num_qudits)
-    out = []
-    for index in range(shape.total):
-        block = digits[index, block_axes]
-        if np.all(block == block[0]):
-            continue
-        amps = np.zeros(shape.total, dtype=np.complex128)
-        amps[index] = 1.0
-        out.append((ComplementLabel(tuple(int(q) for q in digits[index])), PureState(shape, amps)))
-    return out
-
-
-def _barred_block(d: int, m: int) -> list[tuple[BasisLabel, PureState]]:
-    """Barred Bell family over m+1 qudits plus its computational complement."""
-    states: list[tuple[BasisLabel, PureState]] = [
-        (BellLabel(n, ms), barred_bell_basis_state(d, m, BellLabel(n, ms)))
-        for n, ms in product(range(d), repeat=2)
+    return [
+        ComplementLabel(digits)
+        for digits in product(range(d), repeat=num_qudits)
+        if len(set(digits[block])) > 1
     ]
-    shape = RegisterShape(d, m + 1)
-    states.extend(_complement_kets(shape, slice(0, m)))
-    states.sort(key=lambda item: item[0].sort_key())
-    return states
 
 
-def _ghz_joint_block(d: int, m: int) -> list[tuple[BasisLabel, PureState]]:
-    """Block-GHZ family over m+1 qudits plus its computational complement."""
-    states: list[tuple[BasisLabel, PureState]] = [
-        (GhzLabel(n, ms, k), block_ghz_basis_state(d, m, GhzLabel(n, ms, k)))
-        for n, ms, k in product(range(d), repeat=3)
+def barred_labels(d: int, m: int) -> list[BasisLabel]:
+    """Barred Bell labels over m+1 qudits, then their complement kets."""
+    bell: list[BasisLabel] = [BellLabel(n, s) for n, s in product(range(d), repeat=2)]
+    return bell + complement_labels(d, m + 1, slice(0, m))
+
+
+def ghz_labels(d: int, m: int) -> list[BasisLabel]:
+    """Block-GHZ labels over m+1 qudits, then their complement kets."""
+    if m < 2:
+        raise ValueError(f"block GHZ states need m >= 2, got {m}")
+    ghz: list[BasisLabel] = [GhzLabel(*nmk) for nmk in product(range(d), repeat=3)]
+    return ghz + complement_labels(d, m + 1, slice(1, m))
+
+
+def joint_labels(d: int, num_pi: int, barred_m: int) -> list[BasisLabel]:
+    """``num_pi`` Fourier outcomes paired with each barred-block outcome, block-major."""
+    return [
+        JointLabel(alphas, tail)
+        for tail in barred_labels(d, barred_m)
+        for alphas in product(range(d), repeat=num_pi)
     ]
-    shape = RegisterShape(d, m + 1)
-    if m >= 3:
-        states.extend(_complement_kets(shape, slice(1, m)))
-    states.sort(key=lambda item: item[0].sort_key())
-    return states
+
+
+def label_basis(d: int, m: int, labels: list[BasisLabel]) -> MeasurementBasis:
+    """The family of ``labels``, in their order, each mapped to its state.
+
+    ``m`` is the repeated-digit count of the block: a Bell label maps to its
+    barred Bell state, a GHZ label to its block-GHZ state and a complement
+    label to its ket. A joint label maps to its Fourier prefix tensored with
+    the state of its tail; each prefix and each block state is built once.
+    """
+    pi_states = [pi_basis_state(d, PiLabel(a)) for a in range(d)]
+
+    @cache
+    def block(label: BasisLabel) -> PureState:
+        if isinstance(label, BellLabel):
+            return barred_bell_basis_state(d, m, label)
+        if isinstance(label, GhzLabel):
+            return block_ghz_basis_state(d, m, label)
+        return basis_ket(RegisterShape(d, m + 1), label.digits)
+
+    @cache
+    def prefix(alphas: tuple[int, ...]) -> PureState:
+        return reduce(tensor, [pi_states[a] for a in alphas])
+
+    def state(label: BasisLabel) -> PureState:
+        if not isinstance(label, JointLabel):
+            return block(label)
+        if not label.alphas:
+            return block(label.tail)
+        return tensor(prefix(label.alphas), block(label.tail))
+
+    states = tuple((label, state(label)) for label in labels)
+    return MeasurementBasis(states[0][1].shape, states)
 
 
 def joint_pi_barred_basis(d: int, num_pi: int, barred_m: int) -> MeasurementBasis:
@@ -316,21 +338,7 @@ def joint_pi_barred_basis(d: int, num_pi: int, barred_m: int) -> MeasurementBasi
     Covers ``num_pi + barred_m + 1`` qudits. Labels are :class:`JointLabel`
     with the block outcome (Bell or complement ket) as tail.
     """
-    block = _barred_block(d, barred_m)
-    if num_pi == 0:
-        states = [(JointLabel((), label), state) for label, state in block]
-    else:
-        pi_states = [pi_basis_state(d, PiLabel(a)) for a in range(d)]
-        states = []
-        for alphas in product(range(d), repeat=num_pi):
-            prefix = pi_states[alphas[0]]
-            for a in alphas[1:]:
-                prefix = tensor(prefix, pi_states[a])
-            for label, state in block:
-                states.append((JointLabel(alphas, label), tensor(prefix, state)))
-    states.sort(key=lambda item: item[0].sort_key())
-    shape = RegisterShape(d, num_pi + barred_m + 1)
-    return MeasurementBasis(shape, tuple(states))
+    return label_basis(d, barred_m, joint_labels(d, num_pi, barred_m))
 
 
 def build_basis(family: BasisFamily, d: int, m: int | None = None) -> MeasurementBasis:
@@ -346,29 +354,17 @@ def build_basis(family: BasisFamily, d: int, m: int | None = None) -> Measuremen
     if not fixed and (m is None or m < 1):
         raise ValueError(f"{family.value} needs a particle count m >= 1")
 
-    if family is BasisFamily.BELL:
-        states = [
-            (BellLabel(n, ms), bell_basis_state(d, BellLabel(n, ms)))
-            for n, ms in product(range(d), repeat=2)
-        ]
-        return MeasurementBasis(RegisterShape(d, 2), tuple(states))
     if family is BasisFamily.PI:
         states = [(PiLabel(a), pi_basis_state(d, PiLabel(a))) for a in range(d)]
         return MeasurementBasis(RegisterShape(d, 1), tuple(states))
-    if family is BasisFamily.GHZ:
-        states = [
-            (GhzLabel(n, ms, k), ghz_basis_state(d, GhzLabel(n, ms, k)))
-            for n, ms, k in product(range(d), repeat=3)
-        ]
-        return MeasurementBasis(RegisterShape(d, 3), tuple(states))
     if family is BasisFamily.BELL_PROTOCOL_JOINT:
         return joint_pi_barred_basis(d, m - 1, 1)
-    if family is BasisFamily.GHZ_PROTOCOL_JOINT:
-        if m < 2:
-            raise ValueError("the GHZ joint family needs m >= 2")
-        return MeasurementBasis(RegisterShape(d, m + 1), tuple(_ghz_joint_block(d, m)))
-    if family is BasisFamily.BARRED:
-        return MeasurementBasis(RegisterShape(d, m + 1), tuple(_barred_block(d, m)))
+    if family in (BasisFamily.BELL, BasisFamily.BARRED):
+        m = 1 if family is BasisFamily.BELL else m
+        return label_basis(d, m, barred_labels(d, m))
+    if family in (BasisFamily.GHZ, BasisFamily.GHZ_PROTOCOL_JOINT):
+        m = 2 if family is BasisFamily.GHZ else m
+        return label_basis(d, m, ghz_labels(d, m))
     raise ValueError(f"unknown basis family {family!r}")
 
 

@@ -21,15 +21,13 @@ from .core import (
     random_cat_state,
 )
 from .protocols import (
-    PROB_FLOOR,
-    ProtocolKind,
-    ProtocolSpec,
     _is_zero_forced,
     _outcome_table,
     barred_equivalence_check,
     compose_joint_state,
     correction_for,
     enumerate_outcomes,
+    protocol_specs,
 )
 
 
@@ -51,18 +49,6 @@ class CheckResult:
 
 def _result(name: str, max_error: float, threshold: float) -> CheckResult:
     return CheckResult(name, float(max_error), threshold, bool(max_error < threshold))
-
-
-def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
-    """Every protocol kind valid at (d, m), hybrids across the whole ladder."""
-    specs = [ProtocolSpec(ProtocolKind.BELL, d, m)]
-    if m >= 2:
-        specs.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
-    specs.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
-    specs.extend(
-        ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2)
-    )
-    return specs
 
 
 def run_all_checks(
@@ -122,14 +108,13 @@ def run_all_checks(
                     uniformity_err = max(
                         uniformity_err, abs(record.probability - expected_p)
                     )
-                if record.probability > PROB_FLOOR:
                     fidelity_err = max(fidelity_err, abs(record.fidelity - 1.0))
 
         for before, after in zip(
             base_records, enumerate_outcomes(twisted, spec, max_dim=max_dim)
         ):
             phase_err = max(phase_err, abs(before.probability - after.probability))
-            if before.probability > PROB_FLOOR:
+            if not _is_zero_forced(before.label):
                 phase_err = max(phase_err, abs(before.fidelity - after.fidelity))
 
     signaling_err = 0.0

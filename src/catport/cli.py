@@ -21,13 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import cost_of, cost_table
+from .analysis import cost_of
 from .checks import run_all_checks
 from .core import DEFAULT_MAX_DIM, CatState, SizeCapError, random_cat_state
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
+    _is_zero_forced,
     enumerate_outcomes,
+    protocol_specs,
     run_protocol,
 )
 
@@ -189,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument(
-        "--threads", type=int, default=1,
-        help="reserved; enumeration is vectorized and output never depends on it",
-    )
-    common.add_argument(
         "--max-dim", type=int, default=DEFAULT_MAX_DIM,
         help="dense register size cap (amplitudes)",
     )
@@ -246,7 +244,7 @@ def _cmd_enumerate(args) -> int:
         _emit(_records_csv(records, bits), args.out)
         return 0
     doc = _header_doc(args, spec, cat, bits)
-    doc["nonzero_count"] = sum(1 for r in records if r.probability > 0.0)
+    doc["nonzero_count"] = sum(1 for r in records if not _is_zero_forced(r.label))
     doc["records"] = [_record_doc(r, bits) for r in records]
     _emit(_json_text(doc), args.out)
     return 0
@@ -280,16 +278,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cost(args) -> int:
     _require_dm(args)
-    if args.hybrids:
-        rows = [
-            cost_of(
-                ProtocolSpec(ProtocolKind.HYBRID, args.d, args.m, hybrid_k=k),
-                cross_check=False,
-            )
-            for k in range(2, args.m + 2)
-        ]
-    else:
-        rows = cost_table([args.d], [args.m], include_hybrids=False)
+    rows = [
+        cost_of(spec, cross_check=False)
+        for spec in protocol_specs(args.d, args.m)
+        if (spec.kind is ProtocolKind.HYBRID) == args.hybrids
+    ]
     if args.format == "csv":
         _emit(_cost_csv(rows), args.out)
     else:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,7 +42,6 @@ import numpy as np
 from . import bases
 from .bases import (
     BasisLabel,
-    BellLabel,
     ComplementLabel,
     GhzLabel,
     JointLabel,
@@ -72,14 +70,6 @@ class ProtocolKind(Enum):
     HYBRID = "hybrid"
 
 
-_KIND_ORDER = {
-    ProtocolKind.BELL: 0,
-    ProtocolKind.GHZ: 1,
-    ProtocolKind.BARRED: 2,
-    ProtocolKind.HYBRID: 3,
-}
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Which protocol to run, for which local dimension and particle count."""
@@ -105,6 +95,28 @@ class ProtocolSpec:
             raise ValueError(f"{self.kind.value} takes no hybrid_k")
         if self.kind is ProtocolKind.GHZ and self.m < 2:
             raise ValueError("the GHZ protocol needs m >= 2")
+
+
+def ladder_k(spec: ProtocolSpec) -> int:
+    """The protocol's position on the ladder: the sender measures k-2 qudits
+    one at a time and the last m-k+3 together, and k*log2(d) bits go out.
+    BELL is k = m+1; BARRED and GHZ are k = 2."""
+    if spec.kind is ProtocolKind.HYBRID:
+        return spec.hybrid_k
+    return spec.m + 1 if spec.kind is ProtocolKind.BELL else 2
+
+
+def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
+    """Every protocol valid at (d, m) in ladder order: Bell, GHZ (m >= 2),
+    barred, then the hybrids k = 2..m+1."""
+    specs = [ProtocolSpec(ProtocolKind.BELL, d, m)]
+    if m >= 2:
+        specs.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
+    specs.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
+    specs.extend(
+        ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2)
+    )
+    return specs
 
 
 class MonomialOperator:
@@ -265,17 +277,25 @@ def compose_joint_state(
     )
 
 
+def _family_labels(spec: ProtocolSpec) -> list[BasisLabel]:
+    """The labels of ``measurement_family(spec)`` in its order: k-2 Fourier
+    slots, then a block of m-k+2 repeated digits and one more qudit. GHZ and
+    barred outcomes are bare block labels; the others are joint labels."""
+    k = ladder_k(spec)
+    block = spec.m - k + 2
+    if spec.kind is ProtocolKind.GHZ:
+        return bases.ghz_labels(spec.d, block)
+    if spec.kind is ProtocolKind.BARRED:
+        return bases.barred_labels(spec.d, block)
+    return bases.joint_labels(spec.d, k - 2, block)
+
+
 @lru_cache(maxsize=32)
 def _family_cached(
     kind: ProtocolKind, d: int, m: int, hybrid_k: Optional[int]
 ) -> MeasurementBasis:
-    if kind is ProtocolKind.BELL:
-        return bases.build_basis(bases.BasisFamily.BELL_PROTOCOL_JOINT, d, m)
-    if kind is ProtocolKind.GHZ:
-        return bases.build_basis(bases.BasisFamily.GHZ_PROTOCOL_JOINT, d, m)
-    if kind is ProtocolKind.BARRED:
-        return bases.build_basis(bases.BasisFamily.BARRED, d, m)
-    return bases.joint_pi_barred_basis(d, hybrid_k - 2, m - hybrid_k + 2)
+    spec = ProtocolSpec(kind, d, m, hybrid_k)
+    return bases.label_basis(d, m - ladder_k(spec) + 2, _family_labels(spec))
 
 
 def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
@@ -283,52 +303,31 @@ def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
     return _family_cached(spec.kind, spec.d, spec.m, spec.hybrid_k)
 
 
-def _shift_and_phase(spec: ProtocolSpec, label: BasisLabel) -> Optional[tuple[int, int]]:
-    """Extract (digit shift, total phase exponent) from an outcome label.
+def _unwrap(label: BasisLabel) -> tuple[tuple[int, ...], BasisLabel]:
+    """(Fourier outcomes, block outcome) of a label."""
+    if isinstance(label, JointLabel):
+        return label.alphas, label.tail
+    return (), label
 
-    Returns None for complement outcomes, which occur with probability zero
-    and need no correction. Raises if the label cannot belong to the
-    protocol's measurement family.
+
+def _shift_and_phase(d: int, label: BasisLabel) -> tuple[int, int]:
+    """(digit shift, total phase exponent) of an outcome label.
+
+    The shift is the block outcome's ``m``; the phase adds its phase index
+    (``k`` for GHZ, ``n`` otherwise) to the Fourier outcomes. Complement
+    outcomes occur with probability zero and get (0, 0).
     """
-    d = spec.d
-
-    def _bell(tail: BellLabel, extra: int) -> tuple[int, int]:
-        if tail.n >= d or tail.m >= d:
-            raise ValueError(f"label {tail} outside dimension {d}")
-        return tail.m, (tail.n + extra) % d
-
-    if spec.kind is ProtocolKind.GHZ:
-        if not isinstance(label, (GhzLabel, ComplementLabel)):
-            raise ValueError(f"label {label} does not belong to a GHZ measurement")
-        if isinstance(label, ComplementLabel):
-            return None
-        if max(label.n, label.m, label.k) >= d:
-            raise ValueError(f"label {label} outside dimension {d}")
-        return label.m, label.k
-
-    if spec.kind is ProtocolKind.BARRED:
-        if not isinstance(label, (BellLabel, ComplementLabel)):
-            raise ValueError(f"label {label} does not belong to a barred measurement")
-        if isinstance(label, ComplementLabel):
-            return None
-        return _bell(label, 0)
-
-    expected_alphas = spec.m - 1 if spec.kind is ProtocolKind.BELL else spec.hybrid_k - 2
-    if not isinstance(label, JointLabel) or len(label.alphas) != expected_alphas:
-        raise ValueError(
-            f"label {label} does not belong to a {spec.kind.value} measurement"
-        )
-    if any(a >= d for a in label.alphas):
-        raise ValueError(f"label {label} outside dimension {d}")
-    if isinstance(label.tail, ComplementLabel):
-        return None
-    return _bell(label.tail, sum(label.alphas))
+    alphas, tail = _unwrap(label)
+    if isinstance(tail, ComplementLabel):
+        return 0, 0
+    phase = tail.k if isinstance(tail, GhzLabel) else tail.n
+    return tail.m, (phase + sum(alphas)) % d
 
 
 def _is_zero_forced(label: BasisLabel) -> bool:
     """Outcomes the protocol structure forbids, whatever the cat state: any
     complement ket, and a nonzero slot-2 shift in the GHZ family."""
-    tail = label.tail if isinstance(label, JointLabel) else label
+    tail = _unwrap(label)[1]
     return isinstance(tail, ComplementLabel) or (isinstance(tail, GhzLabel) and tail.n != 0)
 
 
@@ -336,13 +335,22 @@ def _is_zero_forced(label: BasisLabel) -> bool:
 def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
     """Receiver-side unitary for one outcome.
 
-    Complement outcomes never occur, so they get the identity (zero shift
-    and phase); any unitary would do there. Outcomes with the same
+    Raises ValueError if ``label`` is not in the protocol's measurement
+    family. Complement outcomes never occur, so they get the identity (zero
+    shift and phase); any unitary would do there. Outcomes with the same
     (shift, phase) pair share one immutable operator, so a register has at
     most d**2 distinct corrections.
     """
-    shift, phase_power = _shift_and_phase(spec, label) or (0, 0)
-    return cat_sector_correction(spec.d, spec.m, phase_power, shift)
+    table = _outcome_table(spec)
+    row = table.row_of.get(label)
+    if row is None:
+        raise ValueError(
+            f"label {label} does not belong to a {spec.kind.value} measurement "
+            f"at d={spec.d}, m={spec.m}"
+        )
+    return cat_sector_correction(
+        spec.d, spec.m, int(table.phase[row]), int(table.shift[row])
+    )
 
 
 def apply_correction(record: OutcomeRecord) -> PureState:
@@ -353,60 +361,31 @@ def apply_correction(record: OutcomeRecord) -> PureState:
 class _OutcomeTable(NamedTuple):
     """Every outcome of one protocol, in its measurement family's label order.
 
-    ``shift`` and ``phase`` hold each label's pair from
-    :func:`_shift_and_phase` (zero where it has none), ``nonzero`` the
+    ``row_of`` maps each label to its position, ``shift`` and ``phase``
+    hold each label's pair from :func:`_shift_and_phase`, ``nonzero`` the
     structural flag, and ``rows`` the positions of the nonzero outcomes,
     ascending.
     """
 
     labels: tuple[BasisLabel, ...]
+    row_of: dict[BasisLabel, int]
     shift: np.ndarray
     phase: np.ndarray
     nonzero: np.ndarray
     rows: np.ndarray
 
 
-def _complement_labels(d: int, num_qudits: int, block: slice) -> list[BasisLabel]:
-    """Kets whose ``block`` digits are not all equal, in lex order."""
-    return [
-        ComplementLabel(digits)
-        for digits in product(range(d), repeat=num_qudits)
-        if len(set(digits[block])) > 1
-    ]
-
-
-def _barred_labels(d: int, block: int) -> list[BasisLabel]:
-    """Labels of the barred Bell family whose repeated block has ``block`` digits."""
-    bell: list[BasisLabel] = [BellLabel(n, s) for n, s in product(range(d), repeat=2)]
-    return bell + _complement_labels(d, block + 1, slice(0, block))
-
-
-def _family_labels(spec: ProtocolSpec) -> list[BasisLabel]:
-    """The labels of ``measurement_family(spec)`` in its order, built without its states."""
-    d, m = spec.d, spec.m
-    if spec.kind is ProtocolKind.GHZ:
-        ghz: list[BasisLabel] = [GhzLabel(*nmk) for nmk in product(range(d), repeat=3)]
-        return ghz + _complement_labels(d, m + 1, slice(1, m))
-    if spec.kind is ProtocolKind.BARRED:
-        return _barred_labels(d, m)
-    num_pi = m - 1 if spec.kind is ProtocolKind.BELL else spec.hybrid_k - 2
-    return [
-        JointLabel(alphas, tail)
-        for tail in _barred_labels(d, m - num_pi)
-        for alphas in product(range(d), repeat=num_pi)
-    ]
-
-
 @lru_cache(maxsize=128)
 def _outcome_table(spec: ProtocolSpec) -> _OutcomeTable:
     labels = tuple(_family_labels(spec))
-    params = [_shift_and_phase(spec, label) or (0, 0) for label in labels]
+    row_of = {label: row for row, label in enumerate(labels)}
+    params = [_shift_and_phase(spec.d, label) for label in labels]
     shift, phase = np.array(params, dtype=np.int64).T.copy()
     nonzero = np.array([not _is_zero_forced(label) for label in labels])
     rows = np.flatnonzero(nonzero)
     for array in (shift, phase, nonzero, rows):
         array.setflags(write=False)
-    return _OutcomeTable(labels, shift, phase, nonzero, rows)
+    return _OutcomeTable(labels, row_of, shift, phase, nonzero, rows)
 
 
 @lru_cache(maxsize=64)
@@ -543,8 +522,9 @@ def barred_equivalence_check(
     """Compare the collective protocol on m particles against teleporting a
     single d-level particle with the same coefficients.
 
-    Nonzero outcomes map one-to-one: the GHZ label (n=0, m, k) plays the
-    role of the single-particle Bell outcome (n=k, m). Probabilities and
+    Nonzero outcomes map one-to-one through their (shift, phase) pair: the
+    GHZ label (n=0, m, k) plays the role of the single-particle Bell
+    outcome (n=k, m). Probabilities and
     post-correction states (folded through the repeated-digit
     identification) must agree. For m=1 both sides are the same protocol
     and the deltas vanish identically.
@@ -559,22 +539,16 @@ def barred_equivalence_check(
     single_spec = ProtocolSpec(ProtocolKind.BELL, d, 1)
     single_cat = CatState(d, 1, cat.coeffs)
 
-    many: dict[tuple[int, int], OutcomeRecord] = {}
-    for record in enumerate_outcomes(cat, many_spec, max_dim=max_dim):
-        if record.probability <= PROB_FLOOR:
-            continue
-        if isinstance(record.label, GhzLabel):
-            key = (record.label.k, record.label.m)
-        else:
-            key = (record.label.n, record.label.m)
-        many[key] = record
+    many = {
+        _shift_and_phase(d, record.label): record
+        for record in enumerate_outcomes(cat, many_spec, max_dim=max_dim)
+        if not _is_zero_forced(record.label)
+    }
 
     max_prob_delta = 0.0
     max_state_delta = 0.0
     for record in enumerate_outcomes(single_cat, single_spec, max_dim=max_dim):
-        assert isinstance(record.label, JointLabel)
-        key = (record.label.tail.n, record.label.tail.m)
-        partner = many.pop(key, None)
+        partner = many.pop(_shift_and_phase(d, record.label), None)
         if partner is None:
             max_prob_delta = max(max_prob_delta, record.probability)
             max_state_delta = 1.0

@@ -177,9 +177,14 @@ class TestCost:
 
 class TestExitCodes:
     def test_malformed_flags(self, capsys):
-        code, _, err = run_cli(capsys, ["enumerate", "--protocol", "nope", "--d", "2", "--m", "2"])
-        assert code == 1
-        assert err
+        for argv in (
+            ["enumerate", "--protocol", "nope", "--d", "2", "--m", "2"],
+            ["cost", "--d", "2", "--m", "0", "--hybrids"],
+            ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--threads", "2"],
+        ):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 1
+            assert err
 
     def test_missing_dimensions(self, capsys):
         code, _, _ = run_cli(capsys, ["enumerate", "--protocol", "bell"])

@@ -177,6 +177,15 @@ class TestCorrections:
             )
         with pytest.raises(ValueError):
             correction_for(ProtocolSpec(ProtocolKind.BARRED, 3, 2), BellLabel(3, 0))
+        barred = ProtocolSpec(ProtocolKind.BARRED, 2, 2)
+        for spec, label in [
+            (ProtocolSpec(ProtocolKind.BELL, 3, 2), JointLabel((1,), GhzLabel(0, 1, 2))),
+            (barred, ComplementLabel((5, 5, 5))),
+            (barred, ComplementLabel((0, 0, 1))),  # a sector ket
+            (barred, ComplementLabel((0, 1))),  # too few digits
+        ]:
+            with pytest.raises(ValueError):
+                correction_for(spec, label)
 
     def test_complement_label_gets_identity(self):
         op = correction_for(
