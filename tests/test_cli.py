@@ -181,10 +181,17 @@ class TestExitCodes:
             ["enumerate", "--protocol", "nope", "--d", "2", "--m", "2"],
             ["cost", "--d", "2", "--m", "0", "--hybrids"],
             ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--threads", "2"],
+            ["cost", "--d", "2", "--m", "2", "--seed", "1"],
+            ["cost", "--d", "2", "--m", "2", "--max-dim", "1"],
+            ["verify", "--d", "2", "--m", "2", "--seed", "3"],
+            ["cost", "--d", "2", "--m", "2", "--hyb"],
+            ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--max-dim", "0"],
+            ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--max-dim", "-5"],
         ):
-            code, _, err = run_cli(capsys, argv)
-            assert code == 1
-            assert err
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1, argv
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_missing_dimensions(self, capsys):
         code, _, _ = run_cli(capsys, ["enumerate", "--protocol", "bell"])
@@ -214,6 +221,22 @@ class TestExitCodes:
         )
         assert code == 1
         assert "norm" in err
+
+    @pytest.mark.parametrize("field", ["d", "m"])
+    @pytest.mark.parametrize("bad", [2.9, True, "3"])
+    def test_non_integer_dimension_in_cat_file(self, tmp_path, capsys, field, bad):
+        # Coefficients sized for the truncated value, so only the type is wrong.
+        doc = {"d": 2, "m": 2, field: bad}
+        d = int(bad) if field == "d" else 2
+        doc["coeffs"] = [[1 / math.sqrt(d), 0]] * d
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, ["enumerate", "--protocol", "bell", "--coeffs-file", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "integer" in err
 
     @pytest.mark.parametrize("command", ["enumerate", "run"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -38,8 +38,9 @@ def _cases() -> dict[str, list[str]]:
         cases[f"cost-3-4.{fmt}"] = ["cost", "--d", "3", "--m", "4", "--format", fmt]
         cases[f"cost-hybrids-3-4.{fmt}"] = [
             "cost", "--d", "3", "--m", "4", "--hybrids", "--format", fmt]
-    cases["verify-3-2.csv"] = ["verify", "--d", "3", "--m", "2", "--seeds", "3",
-                               "--format", "csv"]
+    for fmt in ("json", "csv"):
+        cases[f"verify-3-2.{fmt}"] = ["verify", "--d", "3", "--m", "2", "--seeds", "3",
+                                      "--format", fmt]
     return cases
 
 
