@@ -41,12 +41,25 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # No prefix matching, or ``verify --seed`` would resolve to ``--seeds``.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+
+
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in values]
+    return values.view(np.float64).reshape(-1, 2).tolist()
 
 
 def load_cat_file(path: str) -> CatState:
@@ -57,11 +70,13 @@ def load_cat_file(path: str) -> CatState:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        d = int(doc["d"])
-        m = int(doc["m"])
+        d, m = doc["d"], doc["m"]
         coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read cat-state file {path}: {exc}") from exc
+    # Exact type test: bool is an int subclass, and 2.9 or "3" must not truncate.
+    if type(d) is not int or type(m) is not int:
+        raise CliError(f"cat-state file {path} needs integer d and m, got {d!r} and {m!r}")
     if coeffs.shape != (d,):
         raise CliError(f"cat-state file lists {coeffs.size} coefficients for d={d}")
     if not np.isfinite(coeffs).all():
@@ -123,33 +138,20 @@ def _header_doc(args, spec: ProtocolSpec, cat: CatState, bits: float) -> dict:
     }
 
 
+def _csv_text(header, rows) -> str:
+    """One CSV table; ``csv`` writes None as an empty cell and floats by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _records_csv(records, bits: float) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "probability", "fidelity", "classical_bits"])
-    for record in records:
-        writer.writerow(
-            [str(record.label), repr(record.probability), repr(record.fidelity), repr(bits)]
-        )
-    return buf.getvalue()
-
-
-def _cost_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["protocol", "d", "m", "k", "total_outcomes", "nonzero_outcomes",
-         "classical_bits", "classical_bits_ceil", "collective_arity"]
+    return _csv_text(
+        ["label", "probability", "fidelity", "classical_bits"],
+        ([str(r.label), r.probability, r.fidelity, bits] for r in records),
     )
-    for row in rows:
-        writer.writerow(
-            [row.spec.kind.value, row.spec.d, row.spec.m,
-             "" if row.spec.hybrid_k is None else row.spec.hybrid_k,
-             row.total_outcome_count, row.nonzero_outcome_count,
-             repr(row.classical_bits), row.classical_bits_ceil,
-             row.collective_measurement_arity]
-        )
-    return buf.getvalue()
 
 
 def _cost_doc(row) -> dict:
@@ -187,25 +189,27 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--d", type=int, help="local dimension of each qudit")
     common.add_argument("--m", type=int, help="number of particles in the cat state")
-    common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument(
-        "--max-dim", type=int, default=DEFAULT_MAX_DIM,
+
+    capped = _Parser(add_help=False)
+    capped.add_argument(
+        "--max-dim", type=_positive_int, default=DEFAULT_MAX_DIM,
         help="dense register size cap (amplitudes)",
     )
 
     proto = _Parser(add_help=False)
+    proto.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     proto.add_argument(
         "--protocol", required=True, choices=[kind.value for kind in ProtocolKind]
     )
     proto.add_argument("--k", type=int, help="hybrid ladder position, 2..m+1")
     proto.add_argument("--coeffs-file", help="JSON cat-state file; omit for a seeded random cat")
 
-    sub.add_parser("run", parents=[common, proto], help="sample one outcome")
-    sub.add_parser("enumerate", parents=[common, proto], help="list every outcome")
+    sub.add_parser("run", parents=[common, capped, proto], help="sample one outcome")
+    sub.add_parser("enumerate", parents=[common, capped, proto], help="list every outcome")
 
-    verify = sub.add_parser("verify", parents=[common], help="run the invariant suites")
+    verify = sub.add_parser("verify", parents=[common, capped], help="run the invariant suites")
     verify.add_argument("--seeds", type=int, default=5, help="number of random cat states")
 
     cost = sub.add_parser("cost", parents=[common], help="classical-communication table")
@@ -256,13 +260,9 @@ def _cmd_verify(args) -> int:
         raise CliError("--seeds must be at least 1")
     results = run_all_checks(args.d, args.m, args.seeds, max_dim=args.max_dim)
     ok = all(r.passed for r in results)
+    checks = [r.to_json() for r in results]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "max_error", "threshold", "passed"])
-        for r in results:
-            writer.writerow([r.name, repr(r.max_error), repr(r.threshold), r.passed])
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_text(list(checks[0]), [list(c.values()) for c in checks]), args.out)
     else:
         doc = {
             "ok": ok,
@@ -270,7 +270,7 @@ def _cmd_verify(args) -> int:
             "m": args.m,
             "seeds": args.seeds,
             "failures": [r.name for r in results if not r.passed],
-            "checks": [r.to_json() for r in results],
+            "checks": checks,
         }
         _emit(_json_text(doc), args.out)
     return 0 if ok else 2
@@ -278,15 +278,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cost(args) -> int:
     _require_dm(args)
-    rows = [
-        cost_of(spec, cross_check=False)
+    docs = [
+        _cost_doc(cost_of(spec, cross_check=False))
         for spec in protocol_specs(args.d, args.m)
         if (spec.kind is ProtocolKind.HYBRID) == args.hybrids
     ]
     if args.format == "csv":
-        _emit(_cost_csv(rows), args.out)
+        _emit(_csv_text(list(docs[0]), [list(doc.values()) for doc in docs]), args.out)
     else:
-        _emit(_json_text([_cost_doc(row) for row in rows]), args.out)
+        _emit(_json_text(docs), args.out)
     return 0
 
 
@@ -303,15 +303,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, SizeCapError) else 1
 
 
 if __name__ == "__main__":
