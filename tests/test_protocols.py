@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -412,6 +413,45 @@ class TestApplyCorrection:
                     np.testing.assert_allclose(
                         record.bob_post_correction.amps, target.amps, atol=1e-12
                     )
+
+
+class TestSharedBranches:
+    """Outcomes reach the receiver through their (shift, phase) pair, which the
+    shared correction operator identifies: records with one pair share one
+    pre-correction and one post-correction state."""
+
+    @pytest.mark.parametrize("d,m", [(2, 3), (3, 2), (3, 3)])
+    def test_records_with_same_pair_share_states(self, d, m):
+        cat = random_cat_state(d, m, 4)
+        for spec in all_specs(d, m):
+            first = {}
+            for record in enumerate_outcomes(cat, spec):
+                if record.probability == 0.0:
+                    continue
+                other = first.setdefault(id(record.correction), record)
+                assert record.bob_pre_correction is other.bob_pre_correction
+                assert record.bob_post_correction is other.bob_post_correction
+            assert len(first) <= d * d
+
+    def test_bell_3_6_has_at_most_d2_distinct_pre_states(self):
+        cat = random_cat_state(3, 6, 0)
+        records = enumerate_outcomes(cat, ProtocolSpec(ProtocolKind.BELL, 3, 6))
+        pre = {id(r.bob_pre_correction) for r in records if r.probability > 0}
+        assert len(records) == 3 ** 7
+        assert len(pre) <= 9
+
+    def test_warm_bell_3_6_enumeration_memory(self):
+        cat = random_cat_state(3, 6, 0)
+        spec = ProtocolSpec(ProtocolKind.BELL, 3, 6)
+        enumerate_outcomes(cat, spec)
+        tracemalloc.start()
+        try:
+            records = enumerate_outcomes(cat, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 3 ** 7
+        assert peak < 8 * 2 ** 20
 
 
 class TestRunProtocol:
