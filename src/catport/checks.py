@@ -21,7 +21,6 @@ from .core import (
     random_cat_state,
 )
 from .protocols import (
-    _is_zero_forced,
     _outcome_table,
     barred_equivalence_check,
     compose_joint_state,
@@ -76,8 +75,9 @@ def run_all_checks(
     # Outcomes with the same (shift, phase) share one operator: check each once.
     corrections = {}
     for spec in specs:
-        for label in _outcome_table(spec).labels:
-            op = correction_for(spec, label)
+        table = _outcome_table(spec)
+        for row in np.unique(table.pair, return_index=True)[1]:
+            op = correction_for(spec, table.labels[row])
             corrections[id(op)] = op
     eye = np.eye(d ** m)
     for correction in corrections.values():
@@ -90,6 +90,8 @@ def run_all_checks(
 
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
+        table = _outcome_table(spec)
+        expected_p = 1.0 / table.rows.size
         base_records = None
         for cat in cats:
             records = enumerate_outcomes(cat, spec, max_dim=max_dim)
@@ -98,11 +100,8 @@ def run_all_checks(
             sum_err = max(
                 sum_err, abs(sum(r.probability for r in records) - 1.0)
             )
-            expected_p = 1.0 / sum(
-                1 for r in records if not _is_zero_forced(r.label)
-            )
-            for record in records:
-                if _is_zero_forced(record.label):
+            for record, flag in zip(records, table.nonzero):
+                if not flag:
                     selection_err = max(selection_err, record.probability)
                 else:
                     uniformity_err = max(
@@ -110,11 +109,11 @@ def run_all_checks(
                     )
                     fidelity_err = max(fidelity_err, abs(record.fidelity - 1.0))
 
-        for before, after in zip(
-            base_records, enumerate_outcomes(twisted, spec, max_dim=max_dim)
+        for before, after, flag in zip(
+            base_records, enumerate_outcomes(twisted, spec, max_dim=max_dim), table.nonzero
         ):
             phase_err = max(phase_err, abs(before.probability - after.probability))
-            if not _is_zero_forced(before.label):
+            if flag:
                 phase_err = max(phase_err, abs(before.fidelity - after.fidelity))
 
     signaling_err = 0.0

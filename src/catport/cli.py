@@ -27,7 +27,6 @@ from .core import DEFAULT_MAX_DIM, CatState, SizeCapError, random_cat_state
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
-    _is_zero_forced,
     enumerate_outcomes,
     protocol_specs,
     run_protocol,
@@ -242,13 +241,14 @@ def _cmd_run(args) -> int:
 def _cmd_enumerate(args) -> int:
     cat = _resolve_cat(args)
     spec = _build_spec(args)
-    bits = cost_of(spec, cross_check=False).classical_bits
+    cost = cost_of(spec, cross_check=False)
+    bits = cost.classical_bits
     records = enumerate_outcomes(cat, spec, max_dim=args.max_dim)
     if args.format == "csv":
         _emit(_records_csv(records, bits), args.out)
         return 0
     doc = _header_doc(args, spec, cat, bits)
-    doc["nonzero_count"] = sum(1 for r in records if not _is_zero_forced(r.label))
+    doc["nonzero_count"] = cost.nonzero_outcome_count
     doc["records"] = [_record_doc(r, bits) for r in records]
     _emit(_json_text(doc), args.out)
     return 0

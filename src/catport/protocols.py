@@ -26,7 +26,9 @@ Enumeration and sampling never build the joint register or the measurement
 family. The joint state (1/sqrt(d)) sum_{l,i} alpha_l |l..l>|i>|i..i> has
 only d**2 nonzero amplitudes, so each outcome's branch is a d-vector on the
 receiver's repeated-digit sector, fixed in closed form by the outcome's
-(shift, phase) pair. The dense projection survives only as a test oracle.
+(shift, phase) pair. Outcomes with one pair share their branch, receiver
+states and correction, so there are at most d**2 of each. The dense
+projection survives only as a test oracle.
 """
 
 from __future__ import annotations
@@ -348,9 +350,12 @@ def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
             f"label {label} does not belong to a {spec.kind.value} measurement "
             f"at d={spec.d}, m={spec.m}"
         )
-    return cat_sector_correction(
-        spec.d, spec.m, int(table.phase[row]), int(table.shift[row])
-    )
+    return _pair_correction(spec, int(table.pair[row]))
+
+
+def _pair_correction(spec: ProtocolSpec, pair: int) -> MonomialOperator:
+    shift, phase = divmod(pair, spec.d)
+    return cat_sector_correction(spec.d, spec.m, phase, shift)
 
 
 def apply_correction(record: OutcomeRecord) -> PureState:
@@ -361,18 +366,18 @@ def apply_correction(record: OutcomeRecord) -> PureState:
 class _OutcomeTable(NamedTuple):
     """Every outcome of one protocol, in its measurement family's label order.
 
-    ``row_of`` maps each label to its position, ``shift`` and ``phase``
-    hold each label's pair from :func:`_shift_and_phase`, ``nonzero`` the
-    structural flag, and ``rows`` the positions of the nonzero outcomes,
-    ascending.
+    ``row_of`` maps each label to its position, ``pair`` holds each label's
+    ``shift * d + phase`` from :func:`_shift_and_phase`, ``nonzero`` the
+    structural flag, ``rows`` the positions of the nonzero outcomes,
+    ascending, and ``nonzero_pair`` their pairs.
     """
 
     labels: tuple[BasisLabel, ...]
     row_of: dict[BasisLabel, int]
-    shift: np.ndarray
-    phase: np.ndarray
+    pair: np.ndarray
     nonzero: np.ndarray
     rows: np.ndarray
+    nonzero_pair: np.ndarray
 
 
 @lru_cache(maxsize=128)
@@ -380,36 +385,47 @@ def _outcome_table(spec: ProtocolSpec) -> _OutcomeTable:
     labels = tuple(_family_labels(spec))
     row_of = {label: row for row, label in enumerate(labels)}
     params = [_shift_and_phase(spec.d, label) for label in labels]
-    shift, phase = np.array(params, dtype=np.int64).T.copy()
+    shift, phase = np.array(params, dtype=np.int64).T
+    pair = shift * spec.d + phase
     nonzero = np.array([not _is_zero_forced(label) for label in labels])
     rows = np.flatnonzero(nonzero)
-    for array in (shift, phase, nonzero, rows):
+    nonzero_pair = pair[rows]
+    for array in (pair, nonzero, rows, nonzero_pair):
         array.setflags(write=False)
-    return _OutcomeTable(labels, row_of, shift, phase, nonzero, rows)
+    return _OutcomeTable(labels, row_of, pair, nonzero, rows, nonzero_pair)
 
 
 @lru_cache(maxsize=64)
-def _roots(d: int) -> np.ndarray:
-    """exp(2*pi*i*e/d) for e = 0..d-1, rounded as MonomialOperator rounds its phases."""
-    roots = np.exp(2j * np.pi * (np.arange(d) / d))
-    roots.setflags(write=False)
-    return roots
+def _pair_tables(d: int) -> tuple[np.ndarray, ...]:
+    """Index and phase tables with one row per pair p = shift * d + phase.
 
-
-def _sector_branches(cat: CatState, table: _OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's unnormalized branch on the sector |i..i>, one row per nonzero
-    outcome, and its probability.
-
-    The row of an outcome with pair (shift, phase) is
-    b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with l = i - shift mod d,
-    where d**k is the number of nonzero outcomes.
+    Branch p reads alpha at ``source[p, i] = i - shift`` times
+    ``rephase[p, i] = omega**(-source * phase)``; its correction reads the
+    branch at ``gather[p, j] = j + shift`` times ``twist[p, j] =
+    omega**(j * phase)``, rounded as MonomialOperator rounds its phases.
     """
-    d = cat.d
-    source = (np.arange(d) - table.shift[table.rows, None]) % d
-    rephase = _roots(d)[(source * table.phase[table.rows, None]) % d].conj()
+    shift, phase = np.divmod(np.arange(d * d), d)
+    digits = np.arange(d)
+    roots = np.exp(2j * np.pi * (digits / d))
+    source = (digits - shift[:, None]) % d
+    gather = (digits + shift[:, None]) % d
+    rephase = roots[(source * phase[:, None]) % d].conj()
+    twist = roots[(digits * phase[:, None]) % d]
+    for array in (source, gather, rephase, twist):
+        array.setflags(write=False)
+    return source, gather, rephase, twist
+
+
+def _pair_branches(cat: CatState, table: _OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's unnormalized branch on the sector |i..i> for each pair p, and its
+    probability. Every nonzero outcome with pair p leaves this branch.
+
+    Row p is b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with
+    l = i - shift mod d, where d**k is the number of nonzero outcomes.
+    """
+    source, _, rephase, _ = _pair_tables(cat.d)
     branches = cat.coeffs[source] * rephase / math.sqrt(table.rows.size)
-    probabilities = np.einsum("ij,ij->i", branches.conj(), branches).real
-    return branches, probabilities
+    return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
 
 
 def _sector_state(shape: RegisterShape, values: np.ndarray) -> PureState:
@@ -418,42 +434,21 @@ def _sector_state(shape: RegisterShape, values: np.ndarray) -> PureState:
     return PureState(shape, amps)
 
 
-def _nonzero_records(
-    cat: CatState,
-    spec: ProtocolSpec,
-    table: _OutcomeTable,
-    positions,
-    branches: np.ndarray,
-    probabilities: np.ndarray,
-    bob_shape: RegisterShape,
-) -> list[OutcomeRecord]:
-    """Records of the nonzero outcomes ``table.rows[positions]``.
+def _finish_pairs(cat: CatState, pairs: np.ndarray, branched, bob_shape: RegisterShape):
+    """(probability, pre state, post state, fidelity) of each pair in ``pairs``,
+    from ``branched = _pair_branches(...)``.
 
     The correction acts on the sector as ``MonomialOperator.apply`` does:
     entry j of the result is entry j + shift of the branch times
     omega**(j * phase).
     """
-    d = cat.d
-    digits = np.arange(d)
-    rows = table.rows[positions]
-    chosen = probabilities[positions]
-    pre = branches[positions] / np.sqrt(chosen)[:, None]
-    post = pre[np.arange(rows.size)[:, None], (digits + table.shift[rows, None]) % d]
-    post *= _roots(d)[(digits * table.phase[rows, None]) % d]
+    _, gather, _, twist = _pair_tables(cat.d)
+    branches, probabilities = branched
+    pre = branches[pairs] / np.sqrt(probabilities[pairs])[:, None]
+    post = pre[np.arange(pairs.size)[:, None], gather[pairs]] * twist[pairs]
     fidelities = np.abs(post @ cat.coeffs.conj()) ** 2
-    return [
-        OutcomeRecord(
-            label=table.labels[row],
-            probability=float(probability),
-            bob_pre_correction=_sector_state(bob_shape, pre_row),
-            correction=correction_for(spec, table.labels[row]),
-            bob_post_correction=_sector_state(bob_shape, post_row),
-            fidelity=float(fidelity),
-        )
-        for row, probability, pre_row, post_row, fidelity in zip(
-            rows, chosen, pre, post, fidelities
-        )
-    ]
+    states = ([_sector_state(bob_shape, row) for row in rows] for rows in (pre, post))
+    return list(zip(probabilities[pairs].tolist(), *states, fidelities.tolist()))
 
 
 def enumerate_outcomes(
@@ -461,27 +456,26 @@ def enumerate_outcomes(
 ) -> list[OutcomeRecord]:
     """One record per measurement outcome, in the family's label order.
 
-    Probabilities are squared norms of the branches. Outcomes the protocol
-    structure forbids have probability 0.0, fidelity 0.0 and a shared zero
-    receiver state. ``max_dim`` caps the joint register d**(2m+1), which
-    is never allocated.
+    Probabilities are squared norms of the branches. Outcomes with the same
+    (shift, phase) pair share one correction, and nonzero ones one receiver
+    state before and one after it. Outcomes the protocol structure forbids
+    have probability 0.0, fidelity 0.0 and a shared zero receiver state.
+    ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
     table = _outcome_table(spec)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    branches, probabilities = _sector_branches(cat, table)
-    nonzero = iter(
-        _nonzero_records(
-            cat, spec, table, slice(None), branches, probabilities, bob_shape
-        )
-    )
-    zero = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
-    return [
-        next(nonzero)
-        if flag
-        else OutcomeRecord(label, 0.0, zero, correction_for(spec, label), zero, 0.0)
-        for label, flag in zip(table.labels, table.nonzero)
-    ]
+    live = np.unique(table.nonzero_pair)
+    branched = _pair_branches(cat, table)
+    finished = dict(zip(live.tolist(), _finish_pairs(cat, live, branched, bob_shape)))
+    zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
+    zero = (0.0, zero_state, zero_state, 0.0)
+    corrections = {pair: _pair_correction(spec, pair) for pair in set(table.pair.tolist())}
+    records = []
+    for label, pair, flag in zip(table.labels, table.pair.tolist(), table.nonzero):
+        probability, pre, post, fidelity = finished[pair] if flag else zero
+        records.append(OutcomeRecord(label, probability, pre, corrections[pair], post, fidelity))
+    return records
 
 
 def run_protocol(
@@ -491,20 +485,23 @@ def run_protocol(
 
     Deterministic for a fixed seed; zero-probability outcomes are never
     sampled, and if rounding leaves the total short of the draw the last
-    nonzero outcome is taken. Only the sampled record is built.
+    nonzero outcome is taken. Only the sampled pair's states are built.
     """
     _check_inputs(cat, spec, max_dim)
     table = _outcome_table(spec)
-    branches, probabilities = _sector_branches(cat, table)
+    branched = _pair_branches(cat, table)
     u = float(np.random.default_rng(seed).random())
     # cumsum adds in label order, like a running float sum; zero outcomes
     # would add exactly nothing, so leaving them out picks the same record.
-    position = int(np.searchsorted(np.cumsum(probabilities), u, side="right"))
-    position = min(position, probabilities.size - 1)
+    cdf = np.cumsum(branched[1][table.nonzero_pair])
+    position = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
+    pair = table.nonzero_pair[position : position + 1]
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    return _nonzero_records(
-        cat, spec, table, [position], branches, probabilities, bob_shape
-    )[0]
+    probability, pre, post, fidelity = _finish_pairs(cat, pair, branched, bob_shape)[0]
+    correction = _pair_correction(spec, int(pair[0]))
+    return OutcomeRecord(
+        table.labels[table.rows[position]], probability, pre, correction, post, fidelity
+    )
 
 
 def _sector_view(state: PureState) -> tuple[np.ndarray, float]:
@@ -539,16 +536,15 @@ def barred_equivalence_check(
     single_spec = ProtocolSpec(ProtocolKind.BELL, d, 1)
     single_cat = CatState(d, 1, cat.coeffs)
 
-    many = {
-        _shift_and_phase(d, record.label): record
-        for record in enumerate_outcomes(cat, many_spec, max_dim=max_dim)
-        if not _is_zero_forced(record.label)
-    }
+    records = enumerate_outcomes(cat, many_spec, max_dim=max_dim)
+    table = _outcome_table(many_spec)
+    many = {pair: records[row] for row, pair in zip(table.rows, table.nonzero_pair.tolist())}
+    singles = enumerate_outcomes(single_cat, single_spec, max_dim=max_dim)
 
     max_prob_delta = 0.0
     max_state_delta = 0.0
-    for record in enumerate_outcomes(single_cat, single_spec, max_dim=max_dim):
-        partner = many.pop(_shift_and_phase(d, record.label), None)
+    for pair, record in zip(_outcome_table(single_spec).pair.tolist(), singles):
+        partner = many.pop(pair, None)
         if partner is None:
             max_prob_delta = max(max_prob_delta, record.probability)
             max_state_delta = 1.0
