@@ -16,6 +16,7 @@ from .bases import BasisFamily
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
+    RegisterShape,
     cat_sector_indices,
     partial_trace_keep,
     random_cat_state,
@@ -54,6 +55,8 @@ def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
     specs = protocol_specs(d, m)
+    # The cap enumerate_outcomes applies, before any dense family or matrix is built.
+    RegisterShape(d, 2 * m + 1, max_dim=max_dim)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
 
     basis_err = 0.0

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from catport import checks
+from catport import bases, checks
 from catport.checks import CheckResult
 from catport.cli import main
 
@@ -203,6 +203,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_verify_checks_size_cap_before_building_bases(self, capsys, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("verify built a basis before checking the size cap")
+
+        monkeypatch.setattr(bases, "build_basis", no_basis)
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--d", "12", "--m", "2", "--seeds", "1", "--max-dim", "1000"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
 
     def test_max_dim_override_loosens_cap(self, capsys):
         code, _, _ = run_cli(
