@@ -48,13 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+def _int_at_least(low: int, what: str):
+    """An argparse type for integers >= ``low``, named ``what`` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid {what} int value: {text!r}")
+
+    return parse
 
 
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
@@ -193,12 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     capped = _Parser(add_help=False)
     capped.add_argument(
-        "--max-dim", type=_positive_int, default=DEFAULT_MAX_DIM,
+        "--max-dim", type=_int_at_least(1, "positive"), default=DEFAULT_MAX_DIM,
         help="dense register size cap (amplitudes)",
     )
 
     proto = _Parser(add_help=False)
-    proto.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    proto.add_argument(
+        "--seed", type=_int_at_least(0, "non-negative"), default=0,
+        help="RNG seed, any non-negative integer",
+    )
     proto.add_argument(
         "--protocol", required=True, choices=[kind.value for kind in ProtocolKind]
     )

@@ -193,6 +193,22 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("source", ["random", "file"])
+    def test_negative_seed_names_the_flag(self, capsys, cat_file, source):
+        for command in ("run", "enumerate"):
+            argv = [command, "--protocol", "bell", "--seed", "-1"]
+            argv += ["--d", "2", "--m", "2"] if source == "random" else ["--coeffs-file", cat_file]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1, argv
+            assert out == ""
+            assert err.startswith("error:") and "--seed" in err
+
+    def test_seed_beyond_64_bits_is_accepted(self, capsys):
+        code, _, _ = run_cli(
+            capsys, ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--seed", str(2**70)]
+        )
+        assert code == 0
+
     def test_missing_dimensions(self, capsys):
         code, _, _ = run_cli(capsys, ["enumerate", "--protocol", "bell"])
         assert code == 1
