@@ -472,6 +472,23 @@ class TestRunProtocol:
         for seed in range(50):
             assert run_protocol(cat, spec, seed).probability > 0
 
+    @pytest.mark.parametrize("d,m", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2), (2, 5)])
+    def test_sampled_record_is_the_enumerated_one_bit_for_bit(self, d, m):
+        for spec in all_specs(d, m):
+            for seed in range(50):
+                cat = random_cat_state(d, m, seed)
+                sampled = run_protocol(cat, spec, seed)
+                listed = next(
+                    r for r in enumerate_outcomes(cat, spec) if r.label == sampled.label
+                )
+                assert sampled.probability == listed.probability
+                assert sampled.fidelity == listed.fidelity, (spec, seed)
+                assert sampled.correction is listed.correction
+                for state in ("bob_pre_correction", "bob_post_correction"):
+                    assert np.array_equal(
+                        getattr(sampled, state).amps, getattr(listed, state).amps
+                    )
+
     def test_covers_every_nonzero_outcome(self):
         cat = random_cat_state(2, 2, 5)
         spec = ProtocolSpec(ProtocolKind.BARRED, 2, 2)
