@@ -446,7 +446,9 @@ def _finish_pairs(cat: CatState, pairs: np.ndarray, branched, bob_shape: Registe
     branches, probabilities = branched
     pre = branches[pairs] / np.sqrt(probabilities[pairs])[:, None]
     post = pre[np.arange(pairs.size)[:, None], gather[pairs]] * twist[pairs]
-    fidelities = np.abs(post @ cat.coeffs.conj()) ** 2
+    # einsum rounds each row alike whatever the batch size; BLAS matmul does
+    # not, and run_protocol must give enumerate_outcomes' record bit for bit.
+    fidelities = np.abs(np.einsum("ij,j->i", post, cat.coeffs.conj())) ** 2
     states = ([_sector_state(bob_shape, row) for row in rows] for rows in (pre, post))
     return list(zip(probabilities[pairs].tolist(), *states, fidelities.tolist()))
 
