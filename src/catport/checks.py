@@ -79,8 +79,8 @@ def run_all_checks(
     corrections = {}
     for spec in specs:
         table = _outcome_table(spec)
-        for row in np.unique(table.pair, return_index=True)[1]:
-            op = correction_for(spec, table.labels[row])
+        for label in dict(zip(table.pair.tolist(), table.labels)).values():
+            op = correction_for(spec, label)
             corrections[id(op)] = op
     eye = np.eye(d ** m)
     for correction in corrections.values():

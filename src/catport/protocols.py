@@ -467,7 +467,7 @@ def enumerate_outcomes(
     _check_inputs(cat, spec, max_dim)
     table = _outcome_table(spec)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    live = np.unique(table.nonzero_pair)
+    live = np.flatnonzero(np.bincount(table.nonzero_pair))
     branched = _pair_branches(cat, table)
     finished = dict(zip(live.tolist(), _finish_pairs(cat, live, branched, bob_shape)))
     zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
