@@ -305,32 +305,20 @@ def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
     return _family_cached(spec.kind, spec.d, spec.m, spec.hybrid_k)
 
 
-def _unwrap(label: BasisLabel) -> tuple[tuple[int, ...], BasisLabel]:
-    """(Fourier outcomes, block outcome) of a label."""
-    if isinstance(label, JointLabel):
-        return label.alphas, label.tail
-    return (), label
-
-
-def _shift_and_phase(d: int, label: BasisLabel) -> tuple[int, int]:
-    """(digit shift, total phase exponent) of an outcome label.
+def _outcome_pair(d: int, label: BasisLabel) -> tuple[int, bool]:
+    """(shift * d + phase, whether the outcome can occur) of an outcome label.
 
     The shift is the block outcome's ``m``; the phase adds its phase index
-    (``k`` for GHZ, ``n`` otherwise) to the Fourier outcomes. Complement
-    outcomes occur with probability zero and get (0, 0).
+    (``k`` for GHZ, ``n`` otherwise) to the Fourier outcomes. Whatever the
+    cat state, the protocol structure forbids any complement ket (given
+    pair 0) and a nonzero slot-2 shift in the GHZ family.
     """
-    alphas, tail = _unwrap(label)
+    alphas, tail = (label.alphas, label.tail) if isinstance(label, JointLabel) else ((), label)
     if isinstance(tail, ComplementLabel):
-        return 0, 0
+        return 0, False
     phase = tail.k if isinstance(tail, GhzLabel) else tail.n
-    return tail.m, (phase + sum(alphas)) % d
-
-
-def _is_zero_forced(label: BasisLabel) -> bool:
-    """Outcomes the protocol structure forbids, whatever the cat state: any
-    complement ket, and a nonzero slot-2 shift in the GHZ family."""
-    tail = _unwrap(label)[1]
-    return isinstance(tail, ComplementLabel) or (isinstance(tail, GhzLabel) and tail.n != 0)
+    occurs = not isinstance(tail, GhzLabel) or tail.n == 0
+    return tail.m * d + (phase + sum(alphas)) % d, occurs
 
 
 @lru_cache(maxsize=200_000)
@@ -366,10 +354,10 @@ def apply_correction(record: OutcomeRecord) -> PureState:
 class _OutcomeTable(NamedTuple):
     """Every outcome of one protocol, in its measurement family's label order.
 
-    ``row_of`` maps each label to its position, ``pair`` holds each label's
-    ``shift * d + phase`` from :func:`_shift_and_phase`, ``nonzero`` the
-    structural flag, ``rows`` the positions of the nonzero outcomes,
-    ascending, and ``nonzero_pair`` their pairs.
+    ``row_of`` maps each label to its position, ``pair`` and ``nonzero``
+    hold each label's pair and structural flag from :func:`_outcome_pair`,
+    ``rows`` the positions of the nonzero outcomes, ascending, and
+    ``nonzero_pair`` their pairs.
     """
 
     labels: tuple[BasisLabel, ...]
@@ -384,10 +372,7 @@ class _OutcomeTable(NamedTuple):
 def _outcome_table(spec: ProtocolSpec) -> _OutcomeTable:
     labels = tuple(_family_labels(spec))
     row_of = {label: row for row, label in enumerate(labels)}
-    params = [_shift_and_phase(spec.d, label) for label in labels]
-    shift, phase = np.array(params, dtype=np.int64).T
-    pair = shift * spec.d + phase
-    nonzero = np.array([not _is_zero_forced(label) for label in labels])
+    pair, nonzero = map(np.array, zip(*[_outcome_pair(spec.d, label) for label in labels]))
     rows = np.flatnonzero(nonzero)
     nonzero_pair = pair[rows]
     for array in (pair, nonzero, rows, nonzero_pair):
