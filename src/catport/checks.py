@@ -8,6 +8,7 @@ report rather than raise, so one broken invariant never hides another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .core import (
 )
 from .protocols import (
     _outcome_table,
+    _pair_correction,
     barred_equivalence_check,
     compose_joint_state,
-    correction_for,
     enumerate_outcomes,
     protocol_specs,
 )
@@ -51,14 +52,10 @@ def _result(name: str, max_error: float, threshold: float) -> CheckResult:
     return CheckResult(name, float(max_error), threshold, bool(max_error < threshold))
 
 
-def run_all_checks(
-    d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
-) -> list[CheckResult]:
-    specs = protocol_specs(d, m)
-    # The cap enumerate_outcomes applies, before any dense family or matrix is built.
-    RegisterShape(d, 2 * m + 1, max_dim=max_dim)
-    cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
-
+@lru_cache(maxsize=128)
+def _basis_error(d: int, m: int) -> float:
+    """Worst Gram or completeness error of the dense families at (d, m). They
+    depend on nothing else, so a process certifies each (d, m) once."""
     basis_err = 0.0
     families = [(BasisFamily.BELL, None), (BasisFamily.PI, None), (BasisFamily.GHZ, None),
                 (BasisFamily.BELL_PROTOCOL_JOINT, m), (BasisFamily.BARRED, m)]
@@ -67,6 +64,17 @@ def run_all_checks(
     for family, fam_m in families:
         report = bases.verify_orthonormal_complete(bases.build_basis(family, d, fam_m))
         basis_err = max(basis_err, report.max_gram_error, report.max_completeness_error)
+    return basis_err
+
+
+def run_all_checks(
+    d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
+) -> list[CheckResult]:
+    specs = protocol_specs(d, m)
+    # The cap enumerate_outcomes applies, before any dense family or matrix is built.
+    RegisterShape(d, 2 * m + 1, max_dim=max_dim)
+    cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
+    basis_err = _basis_error(d, m)
 
     unitarity_err = 0.0
     sum_err = 0.0
@@ -76,14 +84,9 @@ def run_all_checks(
     phase_err = 0.0
 
     # Outcomes with the same (shift, phase) share one operator: check each once.
-    corrections = {}
-    for spec in specs:
-        table = _outcome_table(spec)
-        for label in dict(zip(table.pair.tolist(), table.labels)).values():
-            op = correction_for(spec, label)
-            corrections[id(op)] = op
+    pairs = set().union(*(_outcome_table(spec).pair.tolist() for spec in specs))
     eye = np.eye(d ** m)
-    for correction in corrections.values():
+    for correction in (_pair_correction(specs[0], pair) for pair in sorted(pairs)):
         if not (correction.adjoint() @ correction).is_identity():
             unitarity_err = max(unitarity_err, 1.0)
         mat = correction.matrix()

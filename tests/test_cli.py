@@ -143,6 +143,16 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["failures"] == ["rigged"]
 
+    def test_bases_certified_once_per_dimensions(self, monkeypatch):
+        built = []
+        build = bases.build_basis
+        monkeypatch.setattr(bases, "build_basis", lambda *args: built.append(args) or build(*args))
+        checks._basis_error.cache_clear()
+        first = checks.run_all_checks(2, 2, 1)
+        count = len(built)
+        assert checks.run_all_checks(2, 2, 2)[0] == first[0]
+        assert len(built) == count > 0
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
