@@ -4,19 +4,25 @@ Subcommands: ``run`` (sample one outcome), ``enumerate`` (all outcomes),
 ``verify`` (invariant suites), ``cost`` (classical-communication table).
 Output is JSON or CSV, byte-stable for identical invocations: floats are
 rendered with Python's shortest round-trip representation and complex
-amplitudes as [re, im] pairs.
+amplitudes as [re, im] pairs. ``run`` and ``enumerate`` write their output
+as a stream, in the layout of ``json.dumps(doc, indent=2)``, rendering each
+receiver state that records share once.
 
-Exit codes: 0 success, 1 malformed flags or input, 2 verification failure,
-3 size-cap violation.
+Exit codes: 0 success, 1 malformed flags or input, or output that cannot be
+written, 2 verification failure, 3 size-cap violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +39,7 @@ from .protocols import (
 )
 
 NORM_INPUT_TOL = 1e-9
+CSV_BATCH_ROWS = 4096  # rows rendered per written piece
 
 
 class CliError(Exception):
@@ -60,10 +67,6 @@ def _int_at_least(low: int, what: str):
         raise argparse.ArgumentTypeError(f"invalid {what} int value: {text!r}")
 
     return parse
-
-
-def _complex_pairs(values: np.ndarray) -> list[list[float]]:
-    return values.view(np.float64).reshape(-1, 2).tolist()
 
 
 def load_cat_file(path: str) -> CatState:
@@ -118,44 +121,130 @@ def _resolve_cat(args) -> CatState:
     return random_cat_state(args.d, args.m, args.seed)
 
 
-def _record_doc(record, bits: float) -> dict:
-    return {
-        "label": record.label.to_json(),
-        "label_str": str(record.label),
-        "probability": record.probability,
-        "fidelity": record.fidelity,
-        "classical_bits": bits,
-        "bob_pre": _complex_pairs(record.bob_pre_correction.amps),
-        "bob_post": _complex_pairs(record.bob_post_correction.amps),
-    }
+def _indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads ``depth`` levels deep in a
+    document. JSON text has no raw newline inside a string, so re-indenting
+    every line is exact."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _header_doc(args, spec: ProtocolSpec, cat: CatState, bits: float) -> dict:
-    return {
+def _pairs_text(values: np.ndarray, depth: int) -> str:
+    """``_indented`` of a complex vector as its list of [re, im] pairs.
+
+    Only pairs other than an exact (+0.0, +0.0) are formatted; each run of
+    those repeats one fixed text, so a receiver state with d nonzero
+    amplitudes out of d**m costs about d formatted pairs.
+    """
+    pad, inner = "  " * (depth + 1), "  " * (depth + 2)
+    floats = values.view(np.float64).reshape(-1, 2)
+    live = np.flatnonzero(floats.view(np.uint64).any(axis=1))
+    zero = f"{pad}[\n{inner}0.0,\n{inner}0.0\n{pad}]"
+    items, done = [], 0
+    for row, (re, im) in zip(live.tolist(), floats[live].tolist()):
+        items += [zero] * (row - done)
+        items.append(f"{pad}[\n{inner}{re!r},\n{inner}{im!r}\n{pad}]")
+        done = row + 1
+    items += [zero] * (len(floats) - done)
+    return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
+
+
+def _members(fields: dict[str, str], depth: int) -> str:
+    """The member lines of an ``indent=2`` object ``depth`` levels deep, from
+    values already rendered one level deeper; no braces."""
+    pad = "  " * (depth + 1)
+    return ",\n".join(f"{pad}{json.dumps(key)}: {text}" for key, text in fields.items())
+
+
+def _record_texts(records, bits: float, depth: int) -> Iterator[tuple[str, str]]:
+    """Each record's JSON object ``depth`` levels deep, as (label part, rest).
+
+    Records of one (shift, phase) pair share their receiver states and their
+    probability and fidelity objects, so the rest is rendered once per pair,
+    each distinct state once, and only the label part per record.
+    """
+    states, rests = {}, {}
+    close = "\n" + "  " * depth + "}"
+
+    def state_text(state) -> str:
+        if id(state) not in states:
+            states[id(state)] = _pairs_text(state.amps, depth + 1)
+        return states[id(state)]
+
+    for record in records:
+        pre, post = record.bob_pre_correction, record.bob_post_correction
+        key = (id(record.probability), id(record.fidelity), id(pre), id(post))
+        if key not in rests:
+            rests[key] = _members({
+                "probability": json.dumps(record.probability),
+                "fidelity": json.dumps(record.fidelity),
+                "classical_bits": json.dumps(bits),
+                "bob_pre": state_text(pre),
+                "bob_post": state_text(post),
+            }, depth) + close
+        label = _members({
+            "label": _indented(record.label.to_json(), depth + 1),
+            "label_str": json.dumps(str(record.label)),
+        }, depth)
+        yield "{\n" + label + ",\n", rests[key]
+
+
+def _document(args, spec: ProtocolSpec, cat: CatState, bits: float, tail: dict) -> Iterator[str]:
+    """The run/enumerate JSON document in pieces: the header members, then
+    ``tail``'s members, whose values are iterables of rendered pieces."""
+    header = {
         "protocol": spec.kind.value,
         "d": spec.d,
         "m": spec.m,
         "hybrid_k": spec.hybrid_k,
         "seed": args.seed,
         "classical_bits": bits,
-        "coeffs": _complex_pairs(cat.coeffs),
     }
+    fields = {key: json.dumps(value) for key, value in header.items()}
+    fields["coeffs"] = _pairs_text(cat.coeffs, 1)
+    yield "{\n" + _members(fields, 0)
+    for key, pieces in tail.items():
+        yield f",\n  {json.dumps(key)}: "
+        yield from pieces
+    yield "\n}\n"
 
 
-def _csv_text(header, rows) -> str:
-    """One CSV table; ``csv`` writes None as an empty cell and floats by repr."""
+def _json_list(items, depth: int) -> Iterator[str]:
+    """An ``indent=2`` list ``depth`` levels deep of at least one item, each
+    an iterable of rendered pieces."""
+    lead = "[\n" + "  " * (depth + 1)
+    for pieces in items:
+        yield lead
+        yield from pieces
+        lead = ",\n" + "  " * (depth + 1)
+    yield "\n" + "  " * depth + "]"
+
+
+def _csv_text(header, rows) -> Iterator[str]:
+    """One CSV table in pieces; ``csv`` writes None as an empty cell and floats by repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = iter(rows)
+    while True:
+        writer.writerows(islice(rows, CSV_BATCH_ROWS))
+        if not buf.tell():
+            return
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
-def _records_csv(records, bits: float) -> str:
-    return _csv_text(
-        ["label", "probability", "fidelity", "classical_bits"],
-        ([str(r.label), r.probability, r.fidelity, bits] for r in records),
-    )
+def _records_csv(records, bits: float) -> Iterator[str]:
+    # Records of one pair share their probability and fidelity objects.
+    cells = {}
+
+    def row(record) -> list:
+        key = (id(record.probability), id(record.fidelity))
+        if key not in cells:
+            cells[key] = [repr(record.probability), repr(record.fidelity)]
+        return [str(record.label), *cells[key], bits]
+
+    return _csv_text(["label", "probability", "fidelity", "classical_bits"], map(row, records))
 
 
 def _cost_doc(row) -> dict:
@@ -172,14 +261,33 @@ def _cost_doc(row) -> dict:
     }
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    """Write ``pieces`` to ``out_path``, or stdout, as they come.
+
+    Any failed write or flush is a CliError (exit 1); one partway through
+    may leave a partial ``out_path``. Commands call this only after their
+    computation has succeeded, so a failed command creates no file.
+    """
     try:
-        Path(out_path).write_bytes(text.encode("utf-8"))
+        if out_path is None:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            for piece in pieces:
+                sys.stdout.write(piece)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as stream:
+                for piece in pieces:
+                    stream.write(piece)
     except OSError as exc:
-        raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        if out_path is None and sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # Python flushes stdout again at exit; what is still buffered
+            # goes to the null device, not to a second error report.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        target = "stdout" if out_path is None else out_path
+        raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _json_text(doc) -> str:
@@ -237,12 +345,11 @@ def _cmd_run(args) -> int:
     spec = _build_spec(args)
     bits = cost_of(spec, cross_check=False).classical_bits
     record = run_protocol(cat, spec, args.seed, max_dim=args.max_dim)
-    doc = _header_doc(args, spec, cat, bits)
-    doc["record"] = _record_doc(record, bits)
     if args.format == "csv":
         _emit(_records_csv([record], bits), args.out)
     else:
-        _emit(_json_text(doc), args.out)
+        record_pieces = next(_record_texts([record], bits, 1))
+        _emit(_document(args, spec, cat, bits, {"record": record_pieces}), args.out)
     return 0
 
 
@@ -255,10 +362,11 @@ def _cmd_enumerate(args) -> int:
     if args.format == "csv":
         _emit(_records_csv(records, bits), args.out)
         return 0
-    doc = _header_doc(args, spec, cat, bits)
-    doc["nonzero_count"] = cost.nonzero_outcome_count
-    doc["records"] = [_record_doc(r, bits) for r in records]
-    _emit(_json_text(doc), args.out)
+    tail = {
+        "nonzero_count": [json.dumps(cost.nonzero_outcome_count)],
+        "records": _json_list(_record_texts(records, bits, 2), 1),
+    }
+    _emit(_document(args, spec, cat, bits, tail), args.out)
     return 0
 
 
@@ -280,7 +388,7 @@ def _cmd_verify(args) -> int:
             "failures": [r.name for r in results if not r.passed],
             "checks": checks,
         }
-        _emit(_json_text(doc), args.out)
+        _emit([_json_text(doc)], args.out)
     return 0 if ok else 2
 
 
@@ -294,7 +402,7 @@ def _cmd_cost(args) -> int:
     if args.format == "csv":
         _emit(_csv_text(list(docs[0]), [list(doc.values()) for doc in docs]), args.out)
     else:
-        _emit(_json_text(docs), args.out)
+        _emit([_json_text(docs)], args.out)
     return 0
 
 

@@ -219,7 +219,6 @@ def monomial_tensor(a: MonomialOperator, b: MonomialOperator) -> MonomialOperato
     return MonomialOperator(a.d, a.num_qudits + b.num_qudits, perm, phases)
 
 
-@lru_cache(maxsize=256)
 def cat_sector_correction(
     d: int, num_qudits: int, phase_power: int, shift: int
 ) -> MonomialOperator:
@@ -227,7 +226,7 @@ def cat_sector_correction(
 
     Off the repeated-digit sector the operator shifts every digit down with
     no phase, which keeps it monomial and unitary everywhere. There are d**2
-    of these per register; results are memoized and shared.
+    of these per register; :func:`_pair_correction` builds each once.
     """
     digits, powers = digit_table(d, num_qudits)
     target = (digits - shift) % d
@@ -341,9 +340,23 @@ def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
     return _pair_correction(spec, int(table.pair[row]))
 
 
+@lru_cache(maxsize=32)
+def _register_corrections(d: int, num_qudits: int) -> dict[int, MonomialOperator]:
+    """The corrections built so far for one register, by pair: at most d**2,
+    kept and dropped together."""
+    return {}
+
+
 def _pair_correction(spec: ProtocolSpec, pair: int) -> MonomialOperator:
-    shift, phase = divmod(pair, spec.d)
-    return cat_sector_correction(spec.d, spec.m, phase, shift)
+    """The register's one shared correction for ``pair = shift * d + phase``."""
+    corrections = _register_corrections(spec.d, spec.m)
+    correction = corrections.get(pair)
+    if correction is None:
+        shift, phase = divmod(pair, spec.d)
+        correction = corrections.setdefault(
+            pair, cat_sector_correction(spec.d, spec.m, phase, shift)
+        )
+    return correction
 
 
 def apply_correction(record: OutcomeRecord) -> PureState:

@@ -188,6 +188,16 @@ class TestCorrections:
             with pytest.raises(ValueError):
                 correction_for(spec, label)
 
+    def test_all_pairs_shared_across_calls_at_large_d(self):
+        # d = 17 has 289 corrections, more than a small global cache holds.
+        spec = ProtocolSpec(ProtocolKind.BELL, 17, 1)
+        cat = random_cat_state(17, 1, 3)
+        first = enumerate_outcomes(cat, spec)
+        second = enumerate_outcomes(cat, spec)
+        assert len({id(r.correction) for r in first}) == 289
+        for a, b in zip(first, second):
+            assert a.correction is b.correction is correction_for(spec, a.label)
+
     def test_complement_label_gets_identity(self):
         op = correction_for(
             ProtocolSpec(ProtocolKind.BARRED, 2, 2), ComplementLabel((0, 1, 0))
