@@ -23,11 +23,12 @@ from .core import (
     random_cat_state,
 )
 from .protocols import (
-    _outcome_table,
     _pair_correction,
+    _row_pairs,
     barred_equivalence_check,
     compose_joint_state,
     enumerate_outcomes,
+    ladder_k,
     protocol_specs,
 )
 
@@ -84,7 +85,7 @@ def run_all_checks(
     phase_err = 0.0
 
     # Outcomes with the same (shift, phase) share one operator: check each once.
-    pairs = set().union(*(_outcome_table(spec).pair.tolist() for spec in specs))
+    pairs = set().union(*(_row_pairs(spec)[0].tolist() for spec in specs))
     eye = np.eye(d ** m)
     for correction in (_pair_correction(specs[0], pair) for pair in sorted(pairs)):
         if not (correction.adjoint() @ correction).is_identity():
@@ -96,8 +97,9 @@ def run_all_checks(
 
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
-        table = _outcome_table(spec)
-        expected_p = 1.0 / table.rows.size
+        # The first d**k rows can occur, each with probability 1/d**k.
+        live = d ** ladder_k(spec)
+        expected_p = 1.0 / live
         base_records = None
         for cat in cats:
             records = enumerate_outcomes(cat, spec, max_dim=max_dim)
@@ -106,8 +108,8 @@ def run_all_checks(
             sum_err = max(
                 sum_err, abs(sum(r.probability for r in records) - 1.0)
             )
-            for record, flag in zip(records, table.nonzero):
-                if not flag:
+            for row, record in enumerate(records):
+                if row >= live:
                     selection_err = max(selection_err, record.probability)
                 else:
                     uniformity_err = max(
@@ -115,11 +117,10 @@ def run_all_checks(
                     )
                     fidelity_err = max(fidelity_err, abs(record.fidelity - 1.0))
 
-        for before, after, flag in zip(
-            base_records, enumerate_outcomes(twisted, spec, max_dim=max_dim), table.nonzero
-        ):
+        twisted_records = enumerate_outcomes(twisted, spec, max_dim=max_dim)
+        for row, (before, after) in enumerate(zip(base_records, twisted_records)):
             phase_err = max(phase_err, abs(before.probability - after.probability))
-            if flag:
+            if row < live:
                 phase_err = max(phase_err, abs(before.fidelity - after.fidelity))
 
     signaling_err = 0.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import cost_of
 from .checks import run_all_checks
-from .core import DEFAULT_MAX_DIM, CatState, SizeCapError, random_cat_state
+from .core import DEFAULT_MAX_DIM, CatState, RegisterShape, SizeCapError, random_cat_state
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
@@ -118,6 +118,9 @@ def _resolve_cat(args) -> CatState:
         return cat
     if args.d is None or args.m is None:
         raise CliError("--d and --m are required without --coeffs-file")
+    if args.d >= 2 and args.m >= 1:
+        # The protocols' size cap, before d coefficients are drawn.
+        RegisterShape(args.d, 2 * args.m + 1, max_dim=args.max_dim)
     return random_cat_state(args.d, args.m, args.seed)
 
 
@@ -325,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("enumerate", parents=[common, capped, proto], help="list every outcome")
 
     verify = sub.add_parser("verify", parents=[common, capped], help="run the invariant suites")
-    verify.add_argument("--seeds", type=int, default=5, help="number of random cat states")
+    verify.add_argument(
+        "--seeds", type=_int_at_least(1, "positive"), default=5,
+        help="number of random cat states",
+    )
 
     cost = sub.add_parser("cost", parents=[common], help="classical-communication table")
     cost.add_argument(
@@ -372,8 +378,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     _require_dm(args)
-    if args.seeds < 1:
-        raise CliError("--seeds must be at least 1")
     results = run_all_checks(args.d, args.m, args.seeds, max_dim=args.max_dim)
     ok = all(r.passed for r in results)
     checks = [r.to_json() for r in results]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,21 +68,6 @@ def unit_phase(numerator: int, d: int) -> complex:
     rounding of the true root of unity.
     """
     return complex(np.exp(2j * np.pi * ((numerator % d) / d)))
-
-
-@lru_cache(maxsize=None)
-def digit_table(d: int, num_qudits: int) -> tuple[np.ndarray, np.ndarray]:
-    """All digit expansions for a register, as a (total, num_qudits) array.
-
-    Returns ``(digits, place_values)`` with ``index = digits @ place_values``.
-    Both arrays are read-only and shared between callers.
-    """
-    powers = d ** np.arange(num_qudits - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(d ** num_qudits, dtype=np.int64)
-    digits = (idx[:, None] // powers[None, :]) % d
-    digits.setflags(write=False)
-    powers.setflags(write=False)
-    return digits, powers
 
 
 def digits_to_index(shape: RegisterShape, digits: Sequence[int]) -> int:

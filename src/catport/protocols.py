@@ -37,18 +37,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from itertools import product
+from typing import Optional
 
 import numpy as np
 
 from . import bases
-from .bases import (
-    BasisLabel,
-    ComplementLabel,
-    GhzLabel,
-    JointLabel,
-    MeasurementBasis,
-)
+from .bases import BasisLabel, BellLabel, GhzLabel, JointLabel, MeasurementBasis
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
@@ -57,7 +52,6 @@ from .core import (
     ShapeMismatchError,
     cat_sector_indices,
     cat_to_pure_state,
-    digit_table,
     tensor,
     uniform_superposition_chain,
 )
@@ -228,11 +222,17 @@ def cat_sector_correction(
     no phase, which keeps it monomial and unitary everywhere. There are d**2
     of these per register; :func:`_pair_correction` builds each once.
     """
-    digits, powers = digit_table(d, num_qudits)
-    target = (digits - shift) % d
-    perm = target @ powers
-    constant = (digits == digits[:, :1]).all(axis=1)
-    phases = np.where(constant, (phase_power * target[:, 0]) % d, 0)
+    rest = np.arange(d ** num_qudits, dtype=np.int64)
+    # The repeated-digit kets are the multiples of 11..1 in base d.
+    unit = (d ** num_qudits - 1) // (d - 1)
+    constant = rest % unit == 0
+    perm = np.zeros_like(rest)
+    place = 1
+    for _ in range(num_qudits):
+        rest, digit = np.divmod(rest, d)
+        perm += (digit - shift) % d * place
+        place *= d
+    phases = np.where(constant, (phase_power * (perm // unit)) % d, 0)
     return MonomialOperator(d, num_qudits, perm, phases)
 
 
@@ -304,20 +304,42 @@ def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
     return _family_cached(spec.kind, spec.d, spec.m, spec.hybrid_k)
 
 
-def _outcome_pair(d: int, label: BasisLabel) -> tuple[int, bool]:
-    """(shift * d + phase, whether the outcome can occur) of an outcome label.
+@lru_cache(maxsize=128)
+def _label_rows(spec: ProtocolSpec) -> dict[BasisLabel, int]:
+    """Each outcome label of the family, in its order, mapped to its row."""
+    return {label: row for row, label in enumerate(_family_labels(spec))}
 
-    The shift is the block outcome's ``m``; the phase adds its phase index
-    (``k`` for GHZ, ``n`` otherwise) to the Fourier outcomes. Whatever the
-    cat state, the protocol structure forbids any complement ket (given
-    pair 0) and a nonzero slot-2 shift in the GHZ family.
+
+@lru_cache(maxsize=128)
+def _row_pairs(spec: ProtocolSpec) -> tuple[np.ndarray, tuple[BasisLabel, ...]]:
+    """Each outcome row's pair ``shift * d + phase``, and the labels of the
+    rows that can occur: the first d**k, whatever the cat state.
+
+    A Bell-tailed row is (n*d + shift) * d**(k-2) plus the Fourier outcomes
+    in mixed radix, with phase n plus their digit sum. A GHZ row below d**3
+    is n*d**2 + shift*d + phase and occurs when n = 0. Every other row is a
+    complement ket; any unitary would do there, and it gets pair 0.
     """
-    alphas, tail = (label.alphas, label.tail) if isinstance(label, JointLabel) else ((), label)
-    if isinstance(tail, ComplementLabel):
-        return 0, False
-    phase = tail.k if isinstance(tail, GhzLabel) else tail.n
-    occurs = not isinstance(tail, GhzLabel) or tail.n == 0
-    return tail.m * d + (phase + sum(alphas)) % d, occurs
+    d, k = spec.d, ladder_k(spec)
+    pair = np.zeros(d ** (spec.m + 1), dtype=np.int64)
+    if spec.kind is ProtocolKind.GHZ:
+        pair[: d ** 3] = np.arange(d ** 3) % (d * d)
+        labels = [GhzLabel(0, s, p) for s, p in product(range(d), repeat=2)]
+    else:
+        tail, rest = np.divmod(np.arange(d ** k), d ** (k - 2))
+        phase, shift = np.divmod(tail, d)
+        for _ in range(k - 2):
+            rest, alpha = np.divmod(rest, d)
+            phase += alpha
+        pair[: d ** k] = shift * d + phase % d
+        tails = [BellLabel(n, s) for n, s in product(range(d), repeat=2)]
+        labels = (
+            tails
+            if spec.kind is ProtocolKind.BARRED
+            else [JointLabel(a, t) for t in tails for a in product(range(d), repeat=k - 2)]
+        )
+    pair.setflags(write=False)
+    return pair, tuple(labels)
 
 
 @lru_cache(maxsize=200_000)
@@ -330,14 +352,13 @@ def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
     (shift, phase) pair share one immutable operator, so a register has at
     most d**2 distinct corrections.
     """
-    table = _outcome_table(spec)
-    row = table.row_of.get(label)
+    row = _label_rows(spec).get(label)
     if row is None:
         raise ValueError(
             f"label {label} does not belong to a {spec.kind.value} measurement "
             f"at d={spec.d}, m={spec.m}"
         )
-    return _pair_correction(spec, int(table.pair[row]))
+    return _pair_correction(spec, int(_row_pairs(spec)[0][row]))
 
 
 @lru_cache(maxsize=32)
@@ -364,35 +385,6 @@ def apply_correction(record: OutcomeRecord) -> PureState:
     return record.correction.apply(record.bob_pre_correction)
 
 
-class _OutcomeTable(NamedTuple):
-    """Every outcome of one protocol, in its measurement family's label order.
-
-    ``row_of`` maps each label to its position, ``pair`` and ``nonzero``
-    hold each label's pair and structural flag from :func:`_outcome_pair`,
-    ``rows`` the positions of the nonzero outcomes, ascending, and
-    ``nonzero_pair`` their pairs.
-    """
-
-    labels: tuple[BasisLabel, ...]
-    row_of: dict[BasisLabel, int]
-    pair: np.ndarray
-    nonzero: np.ndarray
-    rows: np.ndarray
-    nonzero_pair: np.ndarray
-
-
-@lru_cache(maxsize=128)
-def _outcome_table(spec: ProtocolSpec) -> _OutcomeTable:
-    labels = tuple(_family_labels(spec))
-    row_of = {label: row for row, label in enumerate(labels)}
-    pair, nonzero = map(np.array, zip(*[_outcome_pair(spec.d, label) for label in labels]))
-    rows = np.flatnonzero(nonzero)
-    nonzero_pair = pair[rows]
-    for array in (pair, nonzero, rows, nonzero_pair):
-        array.setflags(write=False)
-    return _OutcomeTable(labels, row_of, pair, nonzero, rows, nonzero_pair)
-
-
 @lru_cache(maxsize=64)
 def _pair_tables(d: int) -> tuple[np.ndarray, ...]:
     """Index and phase tables with one row per pair p = shift * d + phase.
@@ -414,15 +406,15 @@ def _pair_tables(d: int) -> tuple[np.ndarray, ...]:
     return source, gather, rephase, twist
 
 
-def _pair_branches(cat: CatState, table: _OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
+def _pair_branches(cat: CatState, live: int) -> tuple[np.ndarray, np.ndarray]:
     """Bob's unnormalized branch on the sector |i..i> for each pair p, and its
     probability. Every nonzero outcome with pair p leaves this branch.
 
     Row p is b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with
-    l = i - shift mod d, where d**k is the number of nonzero outcomes.
+    l = i - shift mod d, where ``live = d**k`` is the number of nonzero outcomes.
     """
     source, _, rephase, _ = _pair_tables(cat.d)
-    branches = cat.coeffs[source] * rephase / math.sqrt(table.rows.size)
+    branches = cat.coeffs[source] * rephase / math.sqrt(live)
     return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
 
 
@@ -463,17 +455,18 @@ def enumerate_outcomes(
     ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
-    table = _outcome_table(spec)
+    pairs, live_labels = _row_pairs(spec)
+    live = len(live_labels)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    live = np.flatnonzero(np.bincount(table.nonzero_pair))
-    branched = _pair_branches(cat, table)
-    finished = dict(zip(live.tolist(), _finish_pairs(cat, live, branched, bob_shape)))
+    live_pairs = np.flatnonzero(np.bincount(pairs[:live]))
+    branched = _pair_branches(cat, live)
+    finished = dict(zip(live_pairs.tolist(), _finish_pairs(cat, live_pairs, branched, bob_shape)))
     zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
     zero = (0.0, zero_state, zero_state, 0.0)
-    corrections = {pair: _pair_correction(spec, pair) for pair in set(table.pair.tolist())}
+    corrections = {pair: _pair_correction(spec, pair) for pair in set(pairs.tolist())}
     records = []
-    for label, pair, flag in zip(table.labels, table.pair.tolist(), table.nonzero):
-        probability, pre, post, fidelity = finished[pair] if flag else zero
+    for row, (label, pair) in enumerate(zip(_label_rows(spec), pairs.tolist())):
+        probability, pre, post, fidelity = finished[pair] if row < live else zero
         records.append(OutcomeRecord(label, probability, pre, corrections[pair], post, fidelity))
     return records
 
@@ -488,20 +481,19 @@ def run_protocol(
     nonzero outcome is taken. Only the sampled pair's states are built.
     """
     _check_inputs(cat, spec, max_dim)
-    table = _outcome_table(spec)
-    branched = _pair_branches(cat, table)
+    pairs, live_labels = _row_pairs(spec)
+    live = len(live_labels)
+    branched = _pair_branches(cat, live)
     u = float(np.random.default_rng(seed).random())
-    # cumsum adds in label order, like a running float sum; zero outcomes
-    # would add exactly nothing, so leaving them out picks the same record.
-    cdf = np.cumsum(branched[1][table.nonzero_pair])
+    # cumsum adds in label order, like a running float sum; the zero rows
+    # after the live ones would add exactly nothing, so the pick is the same.
+    cdf = np.cumsum(branched[1][pairs[:live]])
     position = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
-    pair = table.nonzero_pair[position : position + 1]
+    pair = pairs[position : position + 1]
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
     probability, pre, post, fidelity = _finish_pairs(cat, pair, branched, bob_shape)[0]
     correction = _pair_correction(spec, int(pair[0]))
-    return OutcomeRecord(
-        table.labels[table.rows[position]], probability, pre, correction, post, fidelity
-    )
+    return OutcomeRecord(live_labels[position], probability, pre, correction, post, fidelity)
 
 
 def _sector_view(state: PureState) -> tuple[np.ndarray, float]:
@@ -537,13 +529,13 @@ def barred_equivalence_check(
     single_cat = CatState(d, 1, cat.coeffs)
 
     records = enumerate_outcomes(cat, many_spec, max_dim=max_dim)
-    table = _outcome_table(many_spec)
-    many = {pair: records[row] for row, pair in zip(table.rows, table.nonzero_pair.tolist())}
+    many_pairs, live_labels = _row_pairs(many_spec)
+    many = dict(zip(many_pairs[: len(live_labels)].tolist(), records))
     singles = enumerate_outcomes(single_cat, single_spec, max_dim=max_dim)
 
     max_prob_delta = 0.0
     max_state_delta = 0.0
-    for pair, record in zip(_outcome_table(single_spec).pair.tolist(), singles):
+    for pair, record in zip(_row_pairs(single_spec)[0].tolist(), singles):
         partner = many.pop(pair, None)
         if partner is None:
             max_prob_delta = max(max_prob_delta, record.probability)

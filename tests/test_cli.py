@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from catport import bases, checks
+from catport import bases, checks, cli
 from catport.checks import CheckResult
 from catport.cli import main
 
@@ -197,6 +197,9 @@ class TestExitCodes:
             ["cost", "--d", "2", "--m", "2", "--hyb"],
             ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--max-dim", "0"],
             ["run", "--protocol", "bell", "--d", "2", "--m", "2", "--max-dim", "-5"],
+            ["verify", "--d", "2", "--m", "2", "--seeds", "0"],
+            ["verify", "--d", "2", "--m", "2", "--seeds", "-3"],
+            ["verify", "--d", "2", "--m", "2", "--seeds", "x"],
         ):
             code, out, err = run_cli(capsys, argv)
             assert code == 1, argv
@@ -229,6 +232,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    def test_size_cap_checked_before_drawing_the_cat(self, capsys, monkeypatch, command):
+        def no_cat(*args, **kwargs):
+            raise AssertionError("drew a random cat before checking the size cap")
+
+        monkeypatch.setattr(cli, "random_cat_state", no_cat)
+        code, out, err = run_cli(
+            capsys, [command, "--protocol", "barred", "--d", "4000000", "--m", "1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
 
     def test_verify_checks_size_cap_before_building_bases(self, capsys, monkeypatch):
         def no_basis(*args, **kwargs):

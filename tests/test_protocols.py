@@ -26,8 +26,13 @@ from catport import (
     enumerate_outcomes,
     measurement_family,
     random_cat_state,
+    bases,
+    index_to_digits,
+    protocols,
     run_protocol,
 )
+from catport.bases import BasisLabel
+from catport.protocols import cat_sector_correction, ladder_k
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -528,3 +533,82 @@ class TestBarredEquivalence:
     def test_mismatched_arguments(self):
         with pytest.raises(ValueError):
             barred_equivalence_check(random_cat_state(3, 2, 0), 3, 3)
+
+
+def reference_pair(d: int, label: BasisLabel) -> tuple[int, bool]:
+    """(shift * d + phase, whether the outcome can occur), read off the label.
+
+    The shift is the block outcome's ``m``; the phase adds its phase index
+    (``k`` for GHZ, ``n`` otherwise) to the Fourier outcomes. The protocol
+    structure forbids every complement ket (pair 0) and a nonzero slot-2
+    shift in the GHZ family.
+    """
+    alphas, tail = (label.alphas, label.tail) if isinstance(label, JointLabel) else ((), label)
+    if isinstance(tail, ComplementLabel):
+        return 0, False
+    phase = tail.k if isinstance(tail, GhzLabel) else tail.n
+    occurs = not isinstance(tail, GhzLabel) or tail.n == 0
+    return tail.m * d + (phase + sum(alphas)) % d, occurs
+
+
+def clear_protocol_caches():
+    for value in vars(protocols).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+class TestRowIndex:
+    """Each outcome's pair follows from its row by arithmetic; the label
+    rule above, applied to the family's labels, is the reference."""
+
+    @pytest.mark.parametrize(
+        "d,m",
+        [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 8)],
+    )
+    def test_pair_column_follows_the_label_rule(self, d, m):
+        for spec in all_specs(d, m):
+            labels = protocols._family_labels(spec)
+            pairs, live_labels = protocols._row_pairs(spec)
+            expected, occurs = zip(*(reference_pair(d, label) for label in labels))
+            assert pairs.tolist() == list(expected), spec
+            live = d ** ladder_k(spec)
+            assert list(occurs) == [row < live for row in range(len(labels))], spec
+            assert list(live_labels) == labels[:live], spec
+
+    @pytest.mark.parametrize("d,m", [(2, 3), (3, 2), (5, 1), (3, 3)])
+    def test_cat_sector_correction_digit_by_digit(self, d, m):
+        shape = RegisterShape(d, m)
+        digits = [index_to_digits(shape, index) for index in range(shape.total)]
+        for shift, phase in product(range(d), repeat=2):
+            op = cat_sector_correction(d, m, phase, shift)
+            for index, ket in enumerate(digits):
+                target = tuple((q - shift) % d for q in ket)
+                assert op.perm[index] == digits_to_index(shape, target)
+                constant = len(set(ket)) == 1
+                assert op.phase_exp[index] == (phase * target[0] % d if constant else 0)
+
+    @pytest.mark.parametrize("d,m", [(3, 3), (2, 5)])
+    def test_run_builds_no_family_labels(self, d, m, monkeypatch):
+        def no_labels(*args, **kwargs):
+            raise AssertionError("run_protocol built a family label list")
+
+        clear_protocol_caches()
+        for name in ("barred_labels", "ghz_labels", "joint_labels", "complement_labels"):
+            monkeypatch.setattr(bases, name, no_labels)
+        cat = random_cat_state(d, m, 2)
+        for spec in all_specs(d, m):
+            record = run_protocol(cat, spec, seed=5)
+            assert record.probability > 0 and abs(record.fidelity - 1.0) < 1e-10
+
+    def test_cold_barred_2_15_run_memory(self):
+        cat = random_cat_state(2, 15, 0)
+        spec = ProtocolSpec(ProtocolKind.BARRED, 2, 15)
+        clear_protocol_caches()
+        tracemalloc.start()
+        try:
+            record = run_protocol(cat, spec, 0, max_dim=2 ** 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(record.fidelity - 1.0) < 1e-10
+        assert peak < 8 * 2 ** 20
