@@ -3,32 +3,40 @@
 Each suite reports the worst error it saw across every protocol kind valid
 at the requested (d, m) and a batch of seeded random cat states. Suites
 report rather than raise, so one broken invariant never hides another.
+
+The suites read the same structure the engine uses. The joint state has
+d**2 nonzero amplitudes, every outcome reaches the receiver through one of
+d**2 (shift, phase) pairs, each undone by one monomial correction, and every
+measured family is built from a d x d Fourier slot and sector states with d
+nonzero amplitudes each. So no joint register, family matrix, outcome
+record or correction matrix is built: each check works on d-vectors per
+pair, on the pair column of each protocol's outcome rows, and on the
+corrections' permutations and phase factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bases
-from .bases import BasisFamily
+from .bases import BasisFamily, BasisLabel, BellLabel, ComplementLabel
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
     RegisterShape,
     cat_sector_indices,
-    partial_trace_keep,
     random_cat_state,
 )
 from .protocols import (
+    MonomialOperator,
+    _pair_branches,
     _pair_correction,
     _row_pairs,
     barred_equivalence_check,
-    compose_joint_state,
-    enumerate_outcomes,
-    ladder_k,
     protocol_specs,
 )
 
@@ -53,86 +61,192 @@ def _result(name: str, max_error: float, threshold: float) -> CheckResult:
     return CheckResult(name, float(max_error), threshold, bool(max_error < threshold))
 
 
+def _sector_family_error(d: int, block: int, labels: list[BasisLabel]) -> float:
+    """Worst Gram or completeness error of the barred-Bell or block-GHZ family
+    of ``labels`` over ``block + 1`` qudits, without building its matrix.
+
+    Each Bell or GHZ label's state has d nonzero amplitudes. States with the
+    same support form a group. When the groups' supports are disjoint, the
+    family's Gram and completeness matrices are block diagonal, exactly, and
+    each block is one group's small dense product. Complement labels stand
+    for kets, whose entries are exact, and must name exactly the kets that no
+    group covers; otherwise the family is not certified and the error is 1.
+    """
+    groups: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+    complement = []
+    for label in labels:
+        if isinstance(label, ComplementLabel):
+            complement.append(label.digits)
+            continue
+        if isinstance(label, BellLabel):
+            amps = bases.barred_bell_basis_state(d, block, label).amps
+        else:
+            amps = bases.block_ghz_basis_state(d, block, label).amps
+        support = np.flatnonzero(amps)
+        groups.setdefault(support.tobytes(), (support, []))[1].append(amps[support])
+    covered = [support for support, _ in groups.values()]
+    if complement:
+        covered.append(np.array(complement) @ d ** np.arange(block, -1, -1))
+    if not np.array_equal(np.sort(np.concatenate(covered)), np.arange(d ** (block + 1))):
+        return 1.0
+    error = 0.0
+    for _, rows in groups.values():
+        states = np.array(rows)
+        gram = states.conj() @ states.T
+        completeness = states.T @ states.conj()
+        error = max(
+            error,
+            float(np.abs(gram - np.eye(gram.shape[0])).max()),
+            float(np.abs(completeness - np.eye(completeness.shape[0])).max()),
+        )
+    return error
+
+
+# Twice sqrt(2) * gamma_2 with gamma_2 = 2u / (1 - 2u), u = 2**-53: the most
+# one complex product's rounding can move a Gram or completeness entry.
+_KRON_ROUNDING = 2 * math.sqrt(2) * (2 * 2.0**-53 / (1 - 2 * 2.0**-53))
+
+
 @lru_cache(maxsize=128)
 def _basis_error(d: int, m: int) -> float:
-    """Worst Gram or completeness error of the dense families at (d, m). They
-    depend on nothing else, so a process certifies each (d, m) once."""
-    basis_err = 0.0
-    families = [(BasisFamily.BELL, None), (BasisFamily.PI, None), (BasisFamily.GHZ, None),
-                (BasisFamily.BELL_PROTOCOL_JOINT, m), (BasisFamily.BARRED, m)]
-    if m >= 2:
-        families.append((BasisFamily.GHZ_PROTOCOL_JOINT, m))
-    for family, fam_m in families:
-        report = bases.verify_orthonormal_complete(bases.build_basis(family, d, fam_m))
-        basis_err = max(basis_err, report.max_gram_error, report.max_completeness_error)
-    return basis_err
+    """Worst Gram or completeness error of the measured families at (d, m):
+    Bell, Fourier, GHZ, the Bell protocol's joint family, barred(m) and, for
+    m >= 2, block GHZ(m). They depend on nothing else, so a process
+    certifies each (d, m) once.
+
+    The d x d Fourier slot is certified dense, the sector families by
+    :func:`_sector_family_error`. The Bell protocol's family is m - 1
+    Fourier slots and a Bell pair. For exact products of two families, Gram
+    and completeness are the Kronecker products of the factors', and
+    ``||G_A (x) G_B - I||_max <= e_A + e_B + e_A * e_B`` when each factor is
+    within e of the identity, so the bound is applied once per slot.
+
+    The states themselves are not exact products: ``tensor`` rounds each
+    product amplitude, a relative error of at most sqrt(2) * gamma_2 (about
+    2 * sqrt(2) units in the last place) per complex product. Each Gram or
+    completeness entry is a sum of |v_i(x)| |v_j(x)| <= 1 + e by
+    Cauchy-Schwarz, so that rounding moves it by at most twice as much, and
+    ``_KRON_ROUNDING`` is added once per slot to cover it.
+    """
+    fourier = bases.verify_orthonormal_complete(bases.build_basis(BasisFamily.PI, d))
+    fourier_error = max(fourier.max_gram_error, fourier.max_completeness_error)
+    bell_error = _sector_family_error(d, 1, bases.barred_labels(d, 1))
+    joint_error = bell_error
+    for _ in range(m - 1):
+        joint_error += fourier_error + fourier_error * joint_error + _KRON_ROUNDING
+    errors = [
+        fourier_error,
+        joint_error,
+        _sector_family_error(d, 2, bases.ghz_labels(d, 2)),
+        _sector_family_error(d, m, bases.barred_labels(d, m)),
+    ]
+    if m > 2:
+        errors.append(_sector_family_error(d, m, bases.ghz_labels(d, m)))
+    return max(errors)
+
+
+def _unitarity_error(correction: MonomialOperator) -> float:
+    """1.0 unless the digit map is a bijection that the adjoint undoes
+    exactly; then the largest ||f|**2 - 1| over the phase factors, because
+    U^dagger U - I of a monomial operator is diagonal with those entries."""
+    perm = correction.perm
+    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        return 1.0
+    if not (correction.adjoint() @ correction).is_identity():
+        return 1.0
+    factors = correction.factors
+    return float(np.abs(factors.real ** 2 + factors.imag ** 2 - 1.0).max())
+
+
+def _corrected_fidelities(
+    cat: CatState, used: np.ndarray, branched, targets: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
+    """Fidelity with ``cat`` of each pair in ``used`` after its correction.
+
+    ``targets[p, i]`` and ``factors[p, i]`` are where pair p's correction
+    sends the receiver's sector ket |i..i> and with which factor. Amplitude
+    a correction moves off the sector is lost to the fidelity. The products
+    and the final sum are the engine's own, so a correct correction gives
+    the engine's fidelities bit for bit.
+    """
+    branches, probabilities = branched
+    pre = branches[used] / np.sqrt(probabilities[used])[:, None]
+    moved = pre * factors[used]
+    unit = (cat.d ** cat.m - 1) // (cat.d - 1)
+    rows, cols = np.nonzero(targets[used] % unit == 0)
+    post = np.zeros_like(moved)
+    post[rows, targets[used][rows, cols] // unit] = moved[rows, cols]
+    return np.abs(np.einsum("ij,j->i", post, cat.coeffs.conj())) ** 2
 
 
 def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
     specs = protocol_specs(d, m)
-    # The cap enumerate_outcomes applies, before any dense family or matrix is built.
+    # The cap enumerate_outcomes applies, before anything is built.
     RegisterShape(d, 2 * m + 1, max_dim=max_dim)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
     basis_err = _basis_error(d, m)
 
-    unitarity_err = 0.0
+    # Outcomes with the same (shift, phase) pair share one operator: check each once.
+    counts = sum(np.bincount(_row_pairs(spec)[0], minlength=d * d) for spec in specs)
+    corrections = {pair: _pair_correction(specs[0], pair) for pair in np.flatnonzero(counts)}
+    unitarity_err = max(_unitarity_error(c) for c in corrections.values())
+    sector = cat_sector_indices(d, m)
+    targets = np.zeros((d * d, d), dtype=np.int64)
+    factors = np.zeros((d * d, d), dtype=np.complex128)
+    for pair, correction in corrections.items():
+        targets[pair] = correction.perm[sector]
+        factors[pair] = correction.factors[sector]
+
     sum_err = 0.0
     fidelity_err = 0.0
     selection_err = 0.0
     uniformity_err = 0.0
     phase_err = 0.0
-
-    # Outcomes with the same (shift, phase) share one operator: check each once.
-    pairs = set().union(*(_row_pairs(spec)[0].tolist() for spec in specs))
-    eye = np.eye(d ** m)
-    for correction in (_pair_correction(specs[0], pair) for pair in sorted(pairs)):
-        if not (correction.adjoint() @ correction).is_identity():
-            unitarity_err = max(unitarity_err, 1.0)
-        mat = correction.matrix()
-        unitarity_err = max(
-            unitarity_err, float(np.abs(mat.conj().T @ mat - eye).max())
-        )
-
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
         # The first d**k rows can occur, each with probability 1/d**k.
-        live = d ** ladder_k(spec)
-        expected_p = 1.0 / live
-        base_records = None
-        for cat in cats:
-            records = enumerate_outcomes(cat, spec, max_dim=max_dim)
+        row_pairs, live_labels = _row_pairs(spec)
+        live = len(live_labels)
+        live_pairs = row_pairs[:live]
+        used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
+        # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
+        # has shift s; with no such live row, it would land on a forbidden one.
+        missing_shifts = d - np.unique(used // d).size
+        base = None
+        for cat in cats + [twisted]:
+            branched = _pair_branches(cat, live)
+            probabilities = branched[1][used]
+            fidelities = _corrected_fidelities(cat, used, branched, targets, factors)
+            if cat is twisted:
+                phase_err = max(
+                    phase_err,
+                    float(np.abs(probabilities - base[0]).max()),
+                    float(np.abs(fidelities - base[1]).max()),
+                )
+                continue
             if cat is cats[0]:
-                base_records = records
-            sum_err = max(
-                sum_err, abs(sum(r.probability for r in records) - 1.0)
-            )
-            for row, record in enumerate(records):
-                if row >= live:
-                    selection_err = max(selection_err, record.probability)
-                else:
-                    uniformity_err = max(
-                        uniformity_err, abs(record.probability - expected_p)
-                    )
-                    fidelity_err = max(fidelity_err, abs(record.fidelity - 1.0))
+                base = (probabilities, fidelities)
+            # Row order, as a running sum over the outcome records adds them.
+            sum_err = max(sum_err, abs(sum(branched[1][live_pairs].tolist()) - 1.0))
+            uniformity_err = max(uniformity_err, float(np.abs(probabilities - 1.0 / live).max()))
+            fidelity_err = max(fidelity_err, float(np.abs(fidelities - 1.0).max()))
+            norm = float(np.vdot(cat.coeffs, cat.coeffs).real)
+            selection_err = max(selection_err, missing_shifts * norm / d)
 
-        twisted_records = enumerate_outcomes(twisted, spec, max_dim=max_dim)
-        for row, (before, after) in enumerate(zip(base_records, twisted_records)):
-            phase_err = max(phase_err, abs(before.probability - after.probability))
-            if row < live:
-                phase_err = max(phase_err, abs(before.fidelity - after.fidelity))
-
+    # The receiver's reduced state from the d**2 nonzero joint amplitudes
+    # alpha_l / sqrt(d) on sender (l..l, i) and receiver (i..i), traced over
+    # the sender index (l, i). Off the sector it is exactly zero, as is the
+    # expected maximally mixed state I/d there.
     signaling_err = 0.0
-    receiver = list(range(m + 2, 2 * m + 2))
-    sector = cat_sector_indices(d, m)
-    expected_rho = np.zeros((d ** m, d ** m), dtype=np.complex128)
-    expected_rho[sector, sector] = 1.0 / d
-    plain_spec = specs[0]
+    receiver = np.arange(d)
     for cat in cats:
-        joint = compose_joint_state(cat, plain_spec, max_dim=max_dim)
-        rho = partial_trace_keep(joint, receiver)
-        signaling_err = max(signaling_err, float(np.abs(rho.entries - expected_rho).max()))
+        joint = np.zeros((d, d, d), dtype=np.complex128)
+        joint[receiver, :, receiver] = cat.coeffs * (1.0 / math.sqrt(d))
+        traced = joint.reshape(d, d * d)
+        rho = traced @ traced.conj().T
+        signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
 
     equivalence_err = 0.0
     for cat in cats:

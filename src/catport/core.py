@@ -48,7 +48,11 @@ class RegisterShape:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.num_qudits < 1:
             raise ValueError(f"need at least one qudit, got {self.num_qudits}")
-        if self.d ** self.num_qudits > self.max_dim:
+        # d**n >= 2**((bits(d) - 1) * n), so a register that passes the cap's
+        # bit length is over it without computing a power of possibly millions
+        # of digits; below it, (bits(d) - 1) * n < bits(max_dim) bounds the power.
+        n = self.num_qudits
+        if (self.d.bit_length() - 1) * n >= self.max_dim.bit_length() or self.d**n > self.max_dim:
             raise SizeCapError(
                 f"dense register of {self.d}**{self.num_qudits} amplitudes "
                 f"exceeds the cap of {self.max_dim}"

@@ -118,12 +118,13 @@ def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
 class MonomialOperator:
     """Unitary with one nonzero unit-modulus entry per row and column.
 
-    Acts as ``U|s> = exp(2*pi*i*phase_exp[s]/d) |perm[s]>``. The permutation
-    and the integer phase exponents fully determine the operator, so
-    adjoints and compositions are computed in exact integer arithmetic.
+    Acts as ``U|s> = factors[s] |perm[s]>`` with ``factors[s] =
+    exp(2*pi*i*phase_exp[s]/d)``. The permutation and the integer phase
+    exponents fully determine the operator, so adjoints and compositions are
+    computed in exact integer arithmetic.
     """
 
-    __slots__ = ("d", "num_qudits", "perm", "phase_exp", "_factors")
+    __slots__ = ("d", "num_qudits", "perm", "phase_exp", "factors")
 
     def __init__(self, d: int, num_qudits: int, perm, phase_exp):
         perm = np.asarray(perm, dtype=np.int64)
@@ -141,8 +142,8 @@ class MonomialOperator:
         self.num_qudits = num_qudits
         self.perm = perm
         self.phase_exp = phase_exp
-        self._factors = np.exp(2j * np.pi * (phase_exp / d))
-        self._factors.setflags(write=False)
+        self.factors = np.exp(2j * np.pi * (phase_exp / d))
+        self.factors.setflags(write=False)
 
     @classmethod
     def identity(cls, d: int, num_qudits: int) -> "MonomialOperator":
@@ -153,7 +154,7 @@ class MonomialOperator:
         if state.shape.d != self.d or state.shape.num_qudits != self.num_qudits:
             raise ShapeMismatchError(f"operator acts on (d={self.d}, n={self.num_qudits})")
         out = np.zeros_like(state.amps)
-        out[self.perm] = state.amps * self._factors
+        out[self.perm] = state.amps * self.factors
         return PureState(state.shape, out, normalized=state.normalized)
 
     def adjoint(self) -> "MonomialOperator":
@@ -184,7 +185,7 @@ class MonomialOperator:
     def matrix(self) -> np.ndarray:
         total = self.perm.size
         mat = np.zeros((total, total), dtype=np.complex128)
-        mat[self.perm, np.arange(total)] = self._factors
+        mat[self.perm, np.arange(total)] = self.factors
         return mat
 
     def __repr__(self):
@@ -496,13 +497,21 @@ def run_protocol(
     return OutcomeRecord(live_labels[position], probability, pre, correction, post, fidelity)
 
 
-def _sector_view(state: PureState) -> tuple[np.ndarray, float]:
-    """Amplitudes on the repeated-digit sector plus the leaked off-sector mass."""
-    idx = cat_sector_indices(state.shape.d, state.shape.num_qudits)
-    on_sector = state.amps[idx]
-    mask = np.ones(state.shape.total, dtype=bool)
-    mask[idx] = False
-    return on_sector, float(np.linalg.norm(state.amps[mask]))
+def _corrected_pairs(cat: CatState, spec: ProtocolSpec) -> dict[int, tuple[float, np.ndarray]]:
+    """Each live pair's probability and the receiver's d**m amplitudes after
+    the pair's correction: the real operator applied to the pre-state, which
+    is zero off the repeated-digit sector."""
+    pairs, live_labels = _row_pairs(spec)
+    branches, probabilities = _pair_branches(cat, len(live_labels))
+    sector = cat_sector_indices(cat.d, cat.m)
+    corrected = {}
+    for pair in dict.fromkeys(pairs[: len(live_labels)].tolist()):
+        correction = _pair_correction(spec, pair)
+        pre = branches[pair] / math.sqrt(probabilities[pair])
+        post = np.zeros(correction.perm.size, dtype=np.complex128)
+        post[correction.perm[sector]] = pre * correction.factors[sector]
+        corrected[pair] = (float(probabilities[pair]), post)
+    return corrected
 
 
 def barred_equivalence_check(
@@ -513,10 +522,11 @@ def barred_equivalence_check(
 
     Nonzero outcomes map one-to-one through their (shift, phase) pair: the
     GHZ label (n=0, m, k) plays the role of the single-particle Bell
-    outcome (n=k, m). Probabilities and
-    post-correction states (folded through the repeated-digit
-    identification) must agree. For m=1 both sides are the same protocol
-    and the deltas vanish identically.
+    outcome (n=k, m). Probabilities and post-correction states must agree;
+    each side's post state comes from its own correction operator, and the
+    collective one is folded through the repeated-digit identification, with
+    any amplitude the correction leaks off the sector counted as error. For
+    m=1 both sides are the same protocol and the deltas vanish identically.
     """
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
@@ -525,29 +535,24 @@ def barred_equivalence_check(
         many_spec = ProtocolSpec(ProtocolKind.GHZ, d, m)
     else:
         many_spec = ProtocolSpec(ProtocolKind.BARRED, d, 1)
-    single_spec = ProtocolSpec(ProtocolKind.BELL, d, 1)
-    single_cat = CatState(d, 1, cat.coeffs)
-
-    records = enumerate_outcomes(cat, many_spec, max_dim=max_dim)
-    many_pairs, live_labels = _row_pairs(many_spec)
-    many = dict(zip(many_pairs[: len(live_labels)].tolist(), records))
-    singles = enumerate_outcomes(single_cat, single_spec, max_dim=max_dim)
+    _check_inputs(cat, many_spec, max_dim)
+    many = _corrected_pairs(cat, many_spec)
+    singles = _corrected_pairs(CatState(d, 1, cat.coeffs), ProtocolSpec(ProtocolKind.BELL, d, 1))
+    sector = cat_sector_indices(d, m)
 
     max_prob_delta = 0.0
     max_state_delta = 0.0
-    for pair, record in zip(_row_pairs(single_spec)[0].tolist(), singles):
+    for pair, (probability, post) in singles.items():
         partner = many.pop(pair, None)
         if partner is None:
-            max_prob_delta = max(max_prob_delta, record.probability)
+            max_prob_delta = max(max_prob_delta, probability)
             max_state_delta = 1.0
             continue
-        max_prob_delta = max(
-            max_prob_delta, abs(record.probability - partner.probability)
-        )
-        folded, leaked = _sector_view(partner.bob_post_correction)
-        delta = np.abs(folded - record.bob_post_correction.amps).max()
-        max_state_delta = max(max_state_delta, float(delta), leaked)
-    for leftover in many.values():
-        max_prob_delta = max(max_prob_delta, leftover.probability)
+        max_prob_delta = max(max_prob_delta, abs(probability - partner[0]))
+        folded, leaked = partner[1][sector], np.linalg.norm(np.delete(partner[1], sector))
+        delta = np.abs(folded - post).max()
+        max_state_delta = max(max_state_delta, float(delta), float(leaked))
+    for probability, _ in many.values():
+        max_prob_delta = max(max_prob_delta, probability)
         max_state_delta = 1.0
     return EquivalenceReport(max_prob_delta, max_state_delta)

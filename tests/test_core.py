@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -97,6 +98,19 @@ class TestRegisterShape:
         with pytest.raises(SizeCapError):
             RegisterShape(2, 23)
         RegisterShape(2, 23, max_dim=1 << 23)  # override allows it
+
+    def test_cap_is_checked_without_the_full_power(self):
+        # 10**9 ** 2_000_001 has 18 million digits; the check must not compute it.
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError):
+            RegisterShape(10**9, 2_000_001)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("d, n", [(2, 23), (3, 5), (10**9, 2), (7, 1)])
+    def test_cap_is_inclusive(self, d, n):
+        assert RegisterShape(d, n, max_dim=d**n).total == d**n
+        with pytest.raises(SizeCapError):
+            RegisterShape(d, n, max_dim=d**n - 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
