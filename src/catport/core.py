@@ -52,7 +52,8 @@ class RegisterShape:
         # bit length is over it without computing a power of possibly millions
         # of digits; below it, (bits(d) - 1) * n < bits(max_dim) bounds the power.
         n = self.num_qudits
-        if (self.d.bit_length() - 1) * n >= self.max_dim.bit_length() or self.d**n > self.max_dim:
+        bits = int(self.max_dim).bit_length()
+        if (self.d.bit_length() - 1) * n >= bits or self.d**n > self.max_dim:
             raise SizeCapError(
                 f"dense register of {self.d}**{self.num_qudits} amplitudes "
                 f"exceeds the cap of {self.max_dim}"

@@ -2,6 +2,7 @@
 certifies is broken, and each must agree with the dense suites it replaced,
 which stay here as the reference."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from catport.checks import run_all_checks
 from catport.core import (
     CatState,
     PureState,
+    SizeCapError,
     cat_sector_indices,
     partial_trace_keep,
     random_cat_state,
@@ -208,3 +210,11 @@ def test_memory_at_d2_m10():
         tracemalloc.stop()
     assert all(r.passed for r in results)
     assert peak < 32 * 2**20, peak
+
+
+def test_cap_is_checked_before_the_specs_are_listed():
+    # A million particles: listing the m + 4 specs alone took seconds.
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError):
+        run_all_checks(10**9, 10**6, 1)
+    assert time.perf_counter() - start < 2.0
