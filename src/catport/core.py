@@ -48,12 +48,10 @@ class RegisterShape:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.num_qudits < 1:
             raise ValueError(f"need at least one qudit, got {self.num_qudits}")
-        # d**n >= 2**((bits(d) - 1) * n), so a register that passes the cap's
-        # bit length is over it without computing a power of possibly millions
-        # of digits; below it, (bits(d) - 1) * n < bits(max_dim) bounds the power.
+        # d**n >= 2**n > max_dim once n reaches the cap's bit length, so a long
+        # register fails without computing a power of possibly millions of digits.
         n = self.num_qudits
-        bits = int(self.max_dim).bit_length()
-        if (self.d.bit_length() - 1) * n >= bits or self.d**n > self.max_dim:
+        if n >= int(self.max_dim).bit_length() or self.d**n > self.max_dim:
             raise SizeCapError(
                 f"dense register of {self.d}**{self.num_qudits} amplitudes "
                 f"exceeds the cap of {self.max_dim}"
