@@ -47,7 +47,7 @@ def failures(d, m, seeds):
 
 @pytest.fixture()
 def fresh_corrections():
-    """Drop the stored corrections before and after, so a patched builder
+    """Drop the stored corrections before and after, so a patched constructor
     reaches the checks and leaves nothing behind for other tests."""
     protocols._register_corrections.cache_clear()
     yield
