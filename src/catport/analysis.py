@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import DEFAULT_MAX_DIM, RegisterShape, SizeCapError, random_cat_state
+from .core import DEFAULT_MAX_DIM, SizeCapError, random_cat_state
 from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
     ProtocolSpec,
+    check_size,
     enumerate_outcomes,
     ladder_k,
     protocol_specs,
@@ -59,7 +60,7 @@ def cost_of(
     nonzero = nonzero_outcome_count(spec)
     if cross_check:
         try:
-            RegisterShape(spec.d, 2 * spec.m + 1, max_dim=max_dim)
+            check_size(spec.d, spec.m, max_dim)
         except SizeCapError:
             pass
         else:

@@ -208,6 +208,19 @@ def ghz_basis_state(d: int, label: GhzLabel) -> PureState:
     return block_ghz_basis_state(d, 2, label)
 
 
+def _d_term_state(d: int, num_qudits: int, terms) -> PureState:
+    """Amplitude exp(2*pi*i*e/d)/sqrt(d) on each digit string of the d
+    ``(digits, e)`` pairs in ``terms``, which must be distinct in-range kets."""
+    shape = RegisterShape(d, num_qudits)
+    amps = np.zeros(shape.total, dtype=np.complex128)
+    for digits, exponent in terms:
+        index = 0
+        for q in digits:
+            index = index * d + q
+        amps[index] = unit_phase(exponent, d) / math.sqrt(d)
+    return PureState(shape, amps)
+
+
 def block_ghz_basis_state(d: int, m: int, label: GhzLabel) -> PureState:
     """GHZ state whose middle slot is a block of ``m - 1`` repeated digits.
 
@@ -220,15 +233,10 @@ def block_ghz_basis_state(d: int, m: int, label: GhzLabel) -> PureState:
     n = _check_component(label.n, d, "n")
     m_shift = _check_component(label.m, d, "m")
     k = _check_component(label.k, d, "k")
-    shape = RegisterShape(d, m + 1)
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    for j in range(d):
-        digits = (j,) + ((j + n) % d,) * (m - 1) + ((j + m_shift) % d,)
-        index = 0
-        for q in digits:
-            index = index * d + q
-        amps[index] = unit_phase(j * (n + k), d) / math.sqrt(d)
-    return PureState(shape, amps)
+    return _d_term_state(d, m + 1, (
+        ((j,) + ((j + n) % d,) * (m - 1) + ((j + m_shift) % d,), j * (n + k))
+        for j in range(d)
+    ))
 
 
 def barred_bell_basis_state(d: int, m: int, label: BellLabel) -> PureState:
@@ -242,15 +250,7 @@ def barred_bell_basis_state(d: int, m: int, label: BellLabel) -> PureState:
         raise ValueError(f"barred Bell states need m >= 1, got {m}")
     n = _check_component(label.n, d, "n")
     m_shift = _check_component(label.m, d, "m")
-    shape = RegisterShape(d, m + 1)
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    for j in range(d):
-        digits = (j,) * m + ((j + m_shift) % d,)
-        index = 0
-        for q in digits:
-            index = index * d + q
-        amps[index] = unit_phase(j * n, d) / math.sqrt(d)
-    return PureState(shape, amps)
+    return _d_term_state(d, m + 1, (((j,) * m + ((j + m_shift) % d,), j * n) for j in range(d)))
 
 
 class BasisFamily(Enum):
@@ -332,15 +332,6 @@ def label_basis(d: int, m: int, labels: list[BasisLabel]) -> MeasurementBasis:
     return MeasurementBasis(states[0][1].shape, states)
 
 
-def joint_pi_barred_basis(d: int, num_pi: int, barred_m: int) -> MeasurementBasis:
-    """Product family: ``num_pi`` Fourier slots, then a barred Bell block.
-
-    Covers ``num_pi + barred_m + 1`` qudits. Labels are :class:`JointLabel`
-    with the block outcome (Bell or complement ket) as tail.
-    """
-    return label_basis(d, barred_m, joint_labels(d, num_pi, barred_m))
-
-
 def build_basis(family: BasisFamily, d: int, m: int | None = None) -> MeasurementBasis:
     """Construct a complete family with deterministic label ordering.
 
@@ -358,7 +349,8 @@ def build_basis(family: BasisFamily, d: int, m: int | None = None) -> Measuremen
         states = [(PiLabel(a), pi_basis_state(d, PiLabel(a))) for a in range(d)]
         return MeasurementBasis(RegisterShape(d, 1), tuple(states))
     if family is BasisFamily.BELL_PROTOCOL_JOINT:
-        return joint_pi_barred_basis(d, m - 1, 1)
+        # m - 1 Fourier slots, then a Bell pair.
+        return label_basis(d, 1, joint_labels(d, m - 1, 1))
     if family in (BasisFamily.BELL, BasisFamily.BARRED):
         m = 1 if family is BasisFamily.BELL else m
         return label_basis(d, m, barred_labels(d, m))

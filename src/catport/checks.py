@@ -24,19 +24,17 @@ import numpy as np
 
 from . import bases
 from .bases import BasisFamily, BasisLabel, BellLabel, ComplementLabel
-from .core import (
-    DEFAULT_MAX_DIM,
-    CatState,
-    RegisterShape,
-    cat_sector_indices,
-    random_cat_state,
-)
+from .core import DEFAULT_MAX_DIM, CatState, random_cat_state
 from .protocols import (
     MonomialOperator,
+    _fold_corrections,
     _pair_branches,
     _pair_correction,
     _row_pairs,
+    _sector_images,
     barred_equivalence_check,
+    check_size,
+    ladder_k,
     protocol_specs,
 )
 
@@ -158,48 +156,20 @@ def _unitarity_error(correction: MonomialOperator) -> float:
     return float(np.abs(factors.real ** 2 + factors.imag ** 2 - 1.0).max())
 
 
-def _corrected_fidelities(
-    cat: CatState, used: np.ndarray, branched, targets: np.ndarray, factors: np.ndarray
-) -> np.ndarray:
-    """Fidelity with ``cat`` of each pair in ``used`` after its correction.
-
-    ``targets[p, i]`` and ``factors[p, i]`` are where pair p's correction
-    sends the receiver's sector ket |i..i> and with which factor. Amplitude
-    a correction moves off the sector is lost to the fidelity. The products
-    and the final sum are the engine's own, so a correct correction gives
-    the engine's fidelities bit for bit.
-    """
-    branches, probabilities = branched
-    pre = branches[used] / np.sqrt(probabilities[used])[:, None]
-    moved = pre * factors[used]
-    unit = (cat.d ** cat.m - 1) // (cat.d - 1)
-    rows, cols = np.nonzero(targets[used] % unit == 0)
-    post = np.zeros_like(moved)
-    post[rows, targets[used][rows, cols] // unit] = moved[rows, cols]
-    return np.abs(np.einsum("ij,j->i", post, cat.coeffs.conj())) ** 2
-
-
 def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
-    if d >= 2 and m >= 1:
-        # The cap enumerate_outcomes applies, before anything is built; the
-        # m + 4 specs of a huge register would take seconds to list.
-        RegisterShape(d, 2 * m + 1, max_dim=max_dim)
+    # Before anything is built: listing the m + 4 specs of a huge register is slow.
+    check_size(d, m, max_dim)
     specs = protocol_specs(d, m)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
     basis_err = _basis_error(d, m)
 
     # Outcomes with the same (shift, phase) pair share one operator: check each once.
-    counts = sum(np.bincount(_row_pairs(spec)[0], minlength=d * d) for spec in specs)
+    counts = sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs)
     corrections = {pair: _pair_correction(specs[0], pair) for pair in np.flatnonzero(counts)}
     unitarity_err = max(_unitarity_error(c) for c in corrections.values())
-    sector = cat_sector_indices(d, m)
-    targets = np.zeros((d * d, d), dtype=np.int64)
-    factors = np.zeros((d * d, d), dtype=np.complex128)
-    for pair, correction in corrections.items():
-        targets[pair] = correction.perm[sector]
-        factors[pair] = correction.factors[sector]
+    images = _sector_images(specs[0], corrections)
 
     sum_err = 0.0
     fidelity_err = 0.0
@@ -209,9 +179,8 @@ def run_all_checks(
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
         # The first d**k rows can occur, each with probability 1/d**k.
-        row_pairs, live_labels = _row_pairs(spec)
-        live = len(live_labels)
-        live_pairs = row_pairs[:live]
+        live = d ** ladder_k(spec)
+        live_pairs = _row_pairs(spec)[:live]
         used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
         # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
         # has shift s; with no such live row, it would land on a forbidden one.
@@ -220,7 +189,7 @@ def run_all_checks(
         for cat in cats + [twisted]:
             branched = _pair_branches(cat, live)
             probabilities = branched[1][used]
-            fidelities = _corrected_fidelities(cat, used, branched, targets, factors)
+            fidelities = _fold_corrections(cat, used, branched, images)[2]
             if cat is twisted:
                 phase_err = max(
                     phase_err,

@@ -29,10 +29,11 @@ import numpy as np
 
 from .analysis import cost_of
 from .checks import run_all_checks
-from .core import DEFAULT_MAX_DIM, CatState, RegisterShape, SizeCapError, random_cat_state
+from .core import DEFAULT_MAX_DIM, CatState, SizeCapError, random_cat_state
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
+    check_size,
     enumerate_outcomes,
     protocol_specs,
     run_protocol,
@@ -118,9 +119,7 @@ def _resolve_cat(args) -> CatState:
         return cat
     if args.d is None or args.m is None:
         raise CliError("--d and --m are required without --coeffs-file")
-    if args.d >= 2 and args.m >= 1:
-        # The protocols' size cap, before d coefficients are drawn.
-        RegisterShape(args.d, 2 * args.m + 1, max_dim=args.max_dim)
+    check_size(args.d, args.m, args.max_dim)  # before d coefficients are drawn
     return random_cat_state(args.d, args.m, args.seed)
 
 
@@ -396,8 +395,22 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _check_printable(d: int, m: int) -> None:
+    """Reject, before computing it, a d**(m+1) outcome count with more digits
+    than this interpreter converts to text (a limit of 0 is none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # It has more than ``limit`` digits iff it reaches 10**limit, and it lies
+    # in [2**((m+1)(b-1)), 2**((m+1)b)) for d of bit length b.
+    bits, b = (10**limit).bit_length(), d.bit_length()
+    if limit and d >= 2 and m >= 1 and (
+        (m + 1) * (b - 1) >= bits or ((m + 1) * b >= bits and d ** (m + 1) >= 10**limit)
+    ):
+        raise CliError(f"--d {d} --m {m}: the d**(m+1) outcome count has over {limit} digits")
+
+
 def _cmd_cost(args) -> int:
     _require_dm(args)
+    _check_printable(args.d, args.m)
     docs = [
         _cost_doc(cost_of(spec, cross_check=False))
         for spec in protocol_specs(args.d, args.m)

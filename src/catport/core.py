@@ -259,17 +259,23 @@ class CatState:
 
 
 def cat_sector_indices(d: int, num_qudits: int) -> np.ndarray:
-    """Basis indices of the constant digit strings |0..0>, |1..1>, ..."""
+    """Basis indices of the constant digit strings |0..0>, |1..1>, ...: the
+    multiples of the unit 11..1 in base d, which is entry 1."""
     unit = (d ** num_qudits - 1) // (d - 1)
     return np.arange(d, dtype=np.int64) * unit
 
 
+def sector_state(shape: RegisterShape, values) -> PureState:
+    """The normalized state with amplitude ``values[l]`` on |l..l> and zero
+    off the repeated-digit sector."""
+    amps = np.zeros(shape.total, dtype=np.complex128)
+    amps[cat_sector_indices(shape.d, shape.num_qudits)] = values
+    return PureState(shape, amps)
+
+
 def cat_to_pure_state(cat: CatState, *, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
     """Expand a cat state into its dense M-qudit amplitude vector."""
-    shape = RegisterShape(cat.d, cat.m, max_dim=max_dim)
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    amps[cat_sector_indices(cat.d, cat.m)] = cat.coeffs
-    return PureState(shape, amps)
+    return sector_state(RegisterShape(cat.d, cat.m, max_dim=max_dim), cat.coeffs)
 
 
 def random_cat_state(d: int, m: int, seed: int) -> CatState:
@@ -286,7 +292,4 @@ def uniform_superposition_chain(
     d: int, num_qudits: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> PureState:
     """The maximally entangled chain (1/sqrt(d)) sum_i |i i ... i>."""
-    shape = RegisterShape(d, num_qudits, max_dim=max_dim)
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    amps[cat_sector_indices(d, num_qudits)] = 1.0 / math.sqrt(d)
-    return PureState(shape, amps)
+    return sector_state(RegisterShape(d, num_qudits, max_dim=max_dim), 1.0 / math.sqrt(d))

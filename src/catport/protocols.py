@@ -52,6 +52,7 @@ from .core import (
     ShapeMismatchError,
     cat_sector_indices,
     cat_to_pure_state,
+    sector_state,
     tensor,
     uniform_superposition_chain,
 )
@@ -224,8 +225,7 @@ def cat_sector_correction(
     of these per register; :func:`_pair_correction` builds each once.
     """
     rest = np.arange(d ** num_qudits, dtype=np.int64)
-    # The repeated-digit kets are the multiples of 11..1 in base d.
-    unit = (d ** num_qudits - 1) // (d - 1)
+    unit = cat_sector_indices(d, num_qudits)[1]
     constant = rest % unit == 0
     perm = np.zeros_like(rest)
     place = 1
@@ -255,6 +255,13 @@ class EquivalenceReport:
     max_state_delta: float
 
 
+def check_size(d: int, m: int, max_dim: int) -> None:
+    """Raise SizeCapError if d**(2m+1), the nominal joint register at (d, m),
+    exceeds ``max_dim``. A d < 2 or m < 1 is left to the caller's errors."""
+    if d >= 2 and m >= 1:
+        RegisterShape(d, 2 * m + 1, max_dim=max_dim)
+
+
 def _check_inputs(cat: CatState, spec: ProtocolSpec, max_dim: int) -> None:
     """The cat must fit the protocol, and the joint register the size cap."""
     if (cat.d, cat.m) != (spec.d, spec.m):
@@ -262,7 +269,7 @@ def _check_inputs(cat: CatState, spec: ProtocolSpec, max_dim: int) -> None:
             f"cat state (d={cat.d}, m={cat.m}) does not match "
             f"protocol (d={spec.d}, m={spec.m})"
         )
-    RegisterShape(spec.d, 2 * spec.m + 1, max_dim=max_dim)
+    check_size(spec.d, spec.m, max_dim)
 
 
 def compose_joint_state(
@@ -312,9 +319,9 @@ def _label_rows(spec: ProtocolSpec) -> dict[BasisLabel, int]:
 
 
 @lru_cache(maxsize=128)
-def _row_pairs(spec: ProtocolSpec) -> tuple[np.ndarray, tuple[BasisLabel, ...]]:
-    """Each outcome row's pair ``shift * d + phase``, and the labels of the
-    rows that can occur: the first d**k, whatever the cat state.
+def _row_pairs(spec: ProtocolSpec) -> np.ndarray:
+    """Each outcome row's pair ``shift * d + phase``. The rows that can occur
+    are the first d**k, whatever the cat state.
 
     A Bell-tailed row is (n*d + shift) * d**(k-2) plus the Fourier outcomes
     in mixed radix, with phase n plus their digit sum. A GHZ row below d**3
@@ -325,7 +332,6 @@ def _row_pairs(spec: ProtocolSpec) -> tuple[np.ndarray, tuple[BasisLabel, ...]]:
     pair = np.zeros(d ** (spec.m + 1), dtype=np.int64)
     if spec.kind is ProtocolKind.GHZ:
         pair[: d ** 3] = np.arange(d ** 3) % (d * d)
-        labels = [GhzLabel(0, s, p) for s, p in product(range(d), repeat=2)]
     else:
         tail, rest = np.divmod(np.arange(d ** k), d ** (k - 2))
         phase, shift = np.divmod(tail, d)
@@ -333,14 +339,21 @@ def _row_pairs(spec: ProtocolSpec) -> tuple[np.ndarray, tuple[BasisLabel, ...]]:
             rest, alpha = np.divmod(rest, d)
             phase += alpha
         pair[: d ** k] = shift * d + phase % d
-        tails = [BellLabel(n, s) for n, s in product(range(d), repeat=2)]
-        labels = (
-            tails
-            if spec.kind is ProtocolKind.BARRED
-            else [JointLabel(a, t) for t in tails for a in product(range(d), repeat=k - 2)]
-        )
     pair.setflags(write=False)
-    return pair, tuple(labels)
+    return pair
+
+
+@lru_cache(maxsize=128)
+def _live_labels(spec: ProtocolSpec) -> tuple[BasisLabel, ...]:
+    """The labels of the d**k rows that can occur, in row order."""
+    digit_pairs = list(product(range(spec.d), repeat=2))
+    if spec.kind is ProtocolKind.GHZ:
+        return tuple(GhzLabel(0, s, p) for s, p in digit_pairs)
+    tails = [BellLabel(n, s) for n, s in digit_pairs]
+    if spec.kind is ProtocolKind.BARRED:
+        return tuple(tails)
+    alphas = list(product(range(spec.d), repeat=ladder_k(spec) - 2))
+    return tuple(JointLabel(a, t) for t in tails for a in alphas)
 
 
 @lru_cache(maxsize=200_000)
@@ -359,7 +372,7 @@ def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
             f"label {label} does not belong to a {spec.kind.value} measurement "
             f"at d={spec.d}, m={spec.m}"
         )
-    return _pair_correction(spec, int(_row_pairs(spec)[0][row]))
+    return _pair_correction(spec, int(_row_pairs(spec)[row]))
 
 
 @lru_cache(maxsize=32)
@@ -419,12 +432,6 @@ def _pair_branches(cat: CatState, live: int) -> tuple[np.ndarray, np.ndarray]:
     return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
 
 
-def _sector_state(shape: RegisterShape, values: np.ndarray) -> PureState:
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    amps[cat_sector_indices(shape.d, shape.num_qudits)] = values
-    return PureState(shape, amps)
-
-
 def _finish_pairs(cat: CatState, pairs: np.ndarray, branched, bob_shape: RegisterShape):
     """(probability, pre state, post state, fidelity) of each pair in ``pairs``,
     from ``branched = _pair_branches(...)``.
@@ -440,7 +447,7 @@ def _finish_pairs(cat: CatState, pairs: np.ndarray, branched, bob_shape: Registe
     # einsum rounds each row alike whatever the batch size; BLAS matmul does
     # not, and run_protocol must give enumerate_outcomes' record bit for bit.
     fidelities = np.abs(np.einsum("ij,j->i", post, cat.coeffs.conj())) ** 2
-    states = ([_sector_state(bob_shape, row) for row in rows] for rows in (pre, post))
+    states = ([sector_state(bob_shape, row) for row in rows] for rows in (pre, post))
     return list(zip(probabilities[pairs].tolist(), *states, fidelities.tolist()))
 
 
@@ -456,8 +463,8 @@ def enumerate_outcomes(
     ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
-    pairs, live_labels = _row_pairs(spec)
-    live = len(live_labels)
+    pairs = _row_pairs(spec)
+    live = spec.d ** ladder_k(spec)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
     live_pairs = np.flatnonzero(np.bincount(pairs[:live]))
     branched = _pair_branches(cat, live)
@@ -482,8 +489,8 @@ def run_protocol(
     nonzero outcome is taken. Only the sampled pair's states are built.
     """
     _check_inputs(cat, spec, max_dim)
-    pairs, live_labels = _row_pairs(spec)
-    live = len(live_labels)
+    pairs = _row_pairs(spec)
+    live = spec.d ** ladder_k(spec)
     branched = _pair_branches(cat, live)
     u = float(np.random.default_rng(seed).random())
     # cumsum adds in label order, like a running float sum; the zero rows
@@ -494,24 +501,37 @@ def run_protocol(
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
     probability, pre, post, fidelity = _finish_pairs(cat, pair, branched, bob_shape)[0]
     correction = _pair_correction(spec, int(pair[0]))
-    return OutcomeRecord(live_labels[position], probability, pre, correction, post, fidelity)
+    return OutcomeRecord(_live_labels(spec)[position], probability, pre, correction, post, fidelity)
 
 
-def _corrected_pairs(cat: CatState, spec: ProtocolSpec) -> dict[int, tuple[float, np.ndarray]]:
-    """Each live pair's probability and the receiver's d**m amplitudes after
-    the pair's correction: the real operator applied to the pre-state, which
-    is zero off the repeated-digit sector."""
-    pairs, live_labels = _row_pairs(spec)
-    branches, probabilities = _pair_branches(cat, len(live_labels))
-    sector = cat_sector_indices(cat.d, cat.m)
-    corrected = {}
-    for pair in dict.fromkeys(pairs[: len(live_labels)].tolist()):
-        correction = _pair_correction(spec, pair)
-        pre = branches[pair] / math.sqrt(probabilities[pair])
-        post = np.zeros(correction.perm.size, dtype=np.complex128)
-        post[correction.perm[sector]] = pre * correction.factors[sector]
-        corrected[pair] = (float(probabilities[pair]), post)
-    return corrected
+def _sector_images(spec: ProtocolSpec, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row p of two (d**2, d) tables, for each pair p in ``pairs``: where its
+    real correction sends the receiver's sector ket |i..i>, and the factor."""
+    d, sector = spec.d, cat_sector_indices(spec.d, spec.m)
+    targets = np.zeros((d * d, d), dtype=np.int64)
+    factors = np.zeros((d * d, d), dtype=np.complex128)
+    for pair in pairs:
+        correction = _pair_correction(spec, int(pair))
+        targets[pair], factors[pair] = correction.perm[sector], correction.factors[sector]
+    return targets, factors
+
+
+def _fold_corrections(cat: CatState, pairs: np.ndarray, branched, images):
+    """Each pair in ``pairs`` after its real correction (``images``): the
+    amplitudes left on the sector |i..i>, one row per pair, the norm sent off
+    it, and the fidelity with ``cat``. The arithmetic is the engine's, so
+    correct corrections give its fidelities bit for bit."""
+    branches, probabilities = branched
+    targets, factors = images[0][pairs], images[1][pairs]
+    moved = branches[pairs] / np.sqrt(probabilities[pairs])[:, None] * factors
+    unit = cat_sector_indices(cat.d, cat.m)[1]
+    on_sector = targets % unit == 0
+    rows, cols = np.nonzero(on_sector)
+    folded = np.zeros_like(moved)
+    folded[rows, targets[rows, cols] // unit] = moved[rows, cols]
+    leaked = np.linalg.norm(np.where(on_sector, 0, moved), axis=1)
+    fidelities = np.abs(np.einsum("ij,j->i", folded, cat.coeffs.conj())) ** 2
+    return folded, leaked, fidelities
 
 
 def barred_equivalence_check(
@@ -525,34 +545,27 @@ def barred_equivalence_check(
     outcome (n=k, m). Probabilities and post-correction states must agree;
     each side's post state comes from its own correction operator, and the
     collective one is folded through the repeated-digit identification, with
-    any amplitude the correction leaks off the sector counted as error. For
-    m=1 both sides are the same protocol and the deltas vanish identically.
+    any amplitude the correction leaks off the sector counted as error. A
+    pair live on one side only is a state error of 1. For m=1 both sides
+    are the same protocol and the deltas vanish identically.
     """
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
 
-    if m >= 2:
-        many_spec = ProtocolSpec(ProtocolKind.GHZ, d, m)
-    else:
-        many_spec = ProtocolSpec(ProtocolKind.BARRED, d, 1)
+    many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
     _check_inputs(cat, many_spec, max_dim)
-    many = _corrected_pairs(cat, many_spec)
-    singles = _corrected_pairs(CatState(d, 1, cat.coeffs), ProtocolSpec(ProtocolKind.BELL, d, 1))
-    sector = cat_sector_indices(d, m)
-
-    max_prob_delta = 0.0
-    max_state_delta = 0.0
-    for pair, (probability, post) in singles.items():
-        partner = many.pop(pair, None)
-        if partner is None:
-            max_prob_delta = max(max_prob_delta, probability)
-            max_state_delta = 1.0
-            continue
-        max_prob_delta = max(max_prob_delta, abs(probability - partner[0]))
-        folded, leaked = partner[1][sector], np.linalg.norm(np.delete(partner[1], sector))
-        delta = np.abs(folded - post).max()
-        max_state_delta = max(max_state_delta, float(delta), float(leaked))
-    for probability, _ in many.values():
-        max_prob_delta = max(max_prob_delta, probability)
-        max_state_delta = 1.0
-    return EquivalenceReport(max_prob_delta, max_state_delta)
+    single = (CatState(d, 1, cat.coeffs), ProtocolSpec(ProtocolKind.BELL, d, 1))
+    sides = []
+    for side, spec in ((cat, many_spec), single):
+        live = d ** ladder_k(spec)
+        used = np.bincount(_row_pairs(spec)[:live], minlength=d * d) > 0
+        pairs = np.flatnonzero(used)
+        branched = _pair_branches(side, live)
+        folded, leaked, _ = _fold_corrections(side, pairs, branched, _sector_images(spec, pairs))
+        sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
+    (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
+    max_prob_delta = float(np.abs(many_p - single_p).max())
+    if not np.array_equal(many_used, single_used):
+        return EquivalenceReport(max_prob_delta, 1.0)
+    deltas = np.abs(many_post - single_post).max(axis=1)
+    return EquivalenceReport(max_prob_delta, float(max(deltas.max(), leaked.max())))

@@ -100,6 +100,19 @@ class TestMutations:
         monkeypatch.setattr(bases, "barred_bell_basis_state", corrupted)
         assert "basis_orthonormality" in failures(3, 2, 3)
 
+    @pytest.mark.parametrize("broken", ["drops_last_ket", "repeats_first_ket"])
+    def test_complement_labels_miss_the_off_support_kets(
+        self, monkeypatch, fresh_basis_certificate, broken
+    ):
+        build = bases.complement_labels
+
+        def miscounted(d, num_qudits, block):
+            labels = build(d, num_qudits, block)
+            return labels[:-1] if broken == "drops_last_ket" else labels + labels[:1]
+
+        monkeypatch.setattr(bases, "complement_labels", miscounted)
+        assert "basis_orthonormality" in failures(3, 2, 3)
+
 
 def dense_basis_error(d, m):
     """The dense certificate: every family's full Gram and completeness."""
@@ -118,11 +131,11 @@ def dense_equivalence(cat, d, m):
     """Collective against single-particle protocol from the outcome records."""
     many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
     single_spec = ProtocolSpec(ProtocolKind.BELL, d, 1)
-    many_pairs, live_labels = _row_pairs(many_spec)
-    many = dict(zip(many_pairs[: len(live_labels)].tolist(), enumerate_outcomes(cat, many_spec)))
+    many_pairs = _row_pairs(many_spec)
+    many = dict(zip(many_pairs[: d ** ladder_k(many_spec)].tolist(), enumerate_outcomes(cat, many_spec)))
     singles = enumerate_outcomes(CatState(d, 1, cat.coeffs), single_spec)
     error = 0.0
-    for pair, record in zip(_row_pairs(single_spec)[0].tolist(), singles):
+    for pair, record in zip(_row_pairs(single_spec).tolist(), singles):
         partner = many.pop(pair, None)
         if partner is None:
             return 1.0
@@ -142,7 +155,7 @@ def dense_checks(d, m, seeds):
     specs = protocol_specs(d, m)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
     unitarity = fidelity = selection = uniformity = phase = completeness = 0.0
-    pairs = set().union(*(_row_pairs(spec)[0].tolist() for spec in specs))
+    pairs = set().union(*(_row_pairs(spec).tolist() for spec in specs))
     eye = np.eye(d ** m)
     for pair in sorted(pairs):
         correction = _pair_correction(specs[0], pair)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,7 +187,10 @@ class TestCost:
 
 
 class TestExitCodes:
-    def test_malformed_flags(self, capsys):
+    def test_malformed_flags(self, capsys, cat_file, tmp_path):
+        (tmp_path / "not-json.json").write_text("{d: 3")
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"d": 3, "m": 2, "coeffs": [[0.6, 0.0], [0.0, 0.8]]}))
         for argv in (
             ["enumerate", "--protocol", "nope", "--d", "2", "--m", "2"],
             ["cost", "--d", "2", "--m", "0", "--hybrids"],
@@ -200,8 +204,23 @@ class TestExitCodes:
             ["verify", "--d", "2", "--m", "2", "--seeds", "0"],
             ["verify", "--d", "2", "--m", "2", "--seeds", "-3"],
             ["verify", "--d", "2", "--m", "2", "--seeds", "x"],
+            # Each call below must fail fast; the first took 51 s before it
+            # failed on Python's own integer-to-text limit.
+            ["cost", "--d", "1000000000", "--m", "1000000"],
+            ["cost", "--d", "10", "--m", "5000"],
+            ["run", "--protocol", "ghz", "--d", "3", "--m", "2", "--k", "2"],
+            ["run", "--protocol", "ghz", "--d", "3", "--m", "1"],
+            ["run", "--protocol", "hybrid", "--d", "2", "--m", "2", "--k", "9"],
+            ["run", "--protocol", "bell", "--coeffs-file", cat_file, "--m", "3"],
+            ["run", "--protocol", "bell", "--coeffs-file", str(tmp_path / "missing.json")],
+            ["run", "--protocol", "bell", "--coeffs-file", str(tmp_path / "not-json.json")],
+            ["enumerate", "--protocol", "bell", "--coeffs-file", str(short)],
+            ["verify", "--m", "2"],
+            ["cost", "--m", "2"],
         ):
+            start = time.perf_counter()
             code, out, err = run_cli(capsys, argv)
+            assert time.perf_counter() - start < 2.0, argv
             assert code == 1, argv
             assert out == ""
             assert err.startswith("error:")

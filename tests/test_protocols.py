@@ -568,7 +568,7 @@ class TestRowIndex:
     def test_pair_column_follows_the_label_rule(self, d, m):
         for spec in all_specs(d, m):
             labels = protocols._family_labels(spec)
-            pairs, live_labels = protocols._row_pairs(spec)
+            pairs, live_labels = protocols._row_pairs(spec), protocols._live_labels(spec)
             expected, occurs = zip(*(reference_pair(d, label) for label in labels))
             assert pairs.tolist() == list(expected), spec
             live = d ** ladder_k(spec)
