@@ -9,16 +9,20 @@ count and its ceiling are reported, since d is rarely a power of two.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import DEFAULT_MAX_DIM, SizeCapError, random_cat_state
+import numpy as np
+
+from .core import DEFAULT_MAX_DIM, CatState, SizeCapError, random_cat_state
 from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
     ProtocolSpec,
+    _live_pairs,
+    _pair_branches,
     check_size,
-    enumerate_outcomes,
     ladder_k,
     protocol_specs,
 )
@@ -44,6 +48,28 @@ def collective_measurement_arity(spec: ProtocolSpec) -> int:
     return spec.m - ladder_k(spec) + 3
 
 
+def _fits(d: int, m: int, max_dim: int) -> bool:
+    try:
+        check_size(d, m, max_dim)
+    except SizeCapError:
+        return False
+    return True
+
+
+def _cross_check(spec: ProtocolSpec, cat: CatState) -> None:
+    """Raise RuntimeError unless exactly ``nonzero_outcome_count(spec)`` of
+    the engine's outcome probabilities for ``cat`` exceed PROB_FLOOR."""
+    pairs = _live_pairs(spec)
+    column = _pair_branches(cat.coeffs, pairs.size)[1][pairs]
+    observed = int(np.count_nonzero(column > PROB_FLOOR))
+    expected = nonzero_outcome_count(spec)
+    if observed != expected:
+        raise RuntimeError(
+            f"counted {observed} nonzero outcomes for {spec}, "
+            f"expected {expected}"
+        )
+
+
 def cost_of(
     spec: ProtocolSpec,
     *,
@@ -53,28 +79,16 @@ def cost_of(
 ) -> CostRow:
     """Cost row for one protocol.
 
-    With ``cross_check`` the analytic nonzero-outcome count is compared
-    against an actual enumeration on a random cat state whenever the full
-    register fits under the size cap; a mismatch raises RuntimeError.
+    With ``cross_check``, whenever the register fits under the size cap, the
+    analytic nonzero-outcome count is compared with the outcomes the engine
+    gives nonzero probability on a random cat state: the d**k probabilities
+    of the rows that can occur, each the probability ``enumerate_outcomes``
+    records there, with every later row zero by structure. A mismatch raises
+    RuntimeError.
     """
+    if cross_check and _fits(spec.d, spec.m, max_dim):
+        _cross_check(spec, random_cat_state(spec.d, spec.m, seed))
     nonzero = nonzero_outcome_count(spec)
-    if cross_check:
-        try:
-            check_size(spec.d, spec.m, max_dim)
-        except SizeCapError:
-            pass
-        else:
-            cat = random_cat_state(spec.d, spec.m, seed)
-            observed = sum(
-                1
-                for record in enumerate_outcomes(cat, spec, max_dim=max_dim)
-                if record.probability > PROB_FLOOR
-            )
-            if observed != nonzero:
-                raise RuntimeError(
-                    f"enumerated {observed} nonzero outcomes for {spec}, "
-                    f"expected {nonzero}"
-                )
     return CostRow(
         spec=spec,
         total_outcome_count=spec.d ** (spec.m + 1),
@@ -83,6 +97,16 @@ def cost_of(
         classical_bits_ceil=(nonzero - 1).bit_length(),
         collective_measurement_arity=collective_measurement_arity(spec),
     )
+
+
+def _integers(values: Iterable[int], name: str) -> list[int]:
+    """The distinct values, sorted; a bool or a non-integer raises ValueError."""
+    distinct = set()
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} values must be integers, got {value!r}")
+        distinct.add(int(value))
+    return sorted(distinct)
 
 
 def cost_table(
@@ -96,18 +120,24 @@ def cost_table(
     """Rows for every (d, m) pair, ordered by d, m, then ladder order.
 
     Each pair contributes the Bell, GHZ and barred rows, plus the full
-    hybrid ladder k = 2..m+1 when ``include_hybrids`` is set.
+    hybrid ladder k = 2..m+1 when ``include_hybrids`` is set. The
+    cross-check is ``cost_of``'s at seed 0, on one cat state per pair.
     """
-    d_values = sorted(set(int(d) for d in d_values))
-    m_values = sorted(set(int(m) for m in m_values))
+    d_values = _integers(d_values, "d")
+    m_values = _integers(m_values, "m")
     if not d_values or not m_values:
         raise ValueError("d and m ranges must be nonempty")
     rows = []
     for d in d_values:
         for m in m_values:
-            rows.extend(
-                cost_of(spec, cross_check=cross_check, max_dim=max_dim)
+            specs = [
+                spec
                 for spec in protocol_specs(d, m)
                 if include_hybrids or spec.kind is not ProtocolKind.HYBRID
-            )
+            ]
+            if cross_check and _fits(d, m, max_dim):
+                cat = random_cat_state(d, m, 0)
+                for spec in specs:
+                    _cross_check(spec, cat)
+            rows.extend(cost_of(spec, cross_check=False) for spec in specs)
     return rows

@@ -344,6 +344,14 @@ def _row_pairs(spec: ProtocolSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def _live_pairs(spec: ProtocolSpec) -> np.ndarray:
+    """The pair column of the d**k outcome rows that can occur, the first ones.
+    Indexing the pairs' probabilities with it gives the outcome probability
+    column; every later row is zero by structure."""
+    return _row_pairs(spec)[: spec.d ** ladder_k(spec)]
+
+
+@lru_cache(maxsize=128)
 def _live_labels(spec: ProtocolSpec) -> tuple[BasisLabel, ...]:
     """The labels of the d**k rows that can occur, in row order."""
     digit_pairs = list(product(range(spec.d), repeat=2))
@@ -420,16 +428,18 @@ def _pair_tables(d: int) -> tuple[np.ndarray, ...]:
     return source, gather, rephase, twist
 
 
-def _pair_branches(cat: CatState, live: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_branches(coeffs: np.ndarray, live: int) -> tuple[np.ndarray, np.ndarray]:
     """Bob's unnormalized branch on the sector |i..i> for each pair p, and its
-    probability. Every nonzero outcome with pair p leaves this branch.
+    probability, for a cat's coefficients ``coeffs`` or a stack of them on
+    leading axes. Every nonzero outcome with pair p leaves this branch.
 
     Row p is b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with
     l = i - shift mod d, where ``live = d**k`` is the number of nonzero outcomes.
+    Each row is rounded alike whatever the stack around it.
     """
-    source, _, rephase, _ = _pair_tables(cat.d)
-    branches = cat.coeffs[source] * rephase / math.sqrt(live)
-    return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
+    source, _, rephase, _ = _pair_tables(coeffs.shape[-1])
+    branches = coeffs[..., source] * rephase / math.sqrt(live)
+    return branches, np.einsum("...ij,...ij->...i", branches.conj(), branches).real
 
 
 def _finish_pairs(cat: CatState, pairs: np.ndarray, branched, bob_shape: RegisterShape):
@@ -466,8 +476,8 @@ def enumerate_outcomes(
     pairs = _row_pairs(spec)
     live = spec.d ** ladder_k(spec)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    live_pairs = np.flatnonzero(np.bincount(pairs[:live]))
-    branched = _pair_branches(cat, live)
+    live_pairs = np.flatnonzero(np.bincount(_live_pairs(spec)))
+    branched = _pair_branches(cat.coeffs, live)
     finished = dict(zip(live_pairs.tolist(), _finish_pairs(cat, live_pairs, branched, bob_shape)))
     zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
     zero = (0.0, zero_state, zero_state, 0.0)
@@ -489,13 +499,12 @@ def run_protocol(
     nonzero outcome is taken. Only the sampled pair's states are built.
     """
     _check_inputs(cat, spec, max_dim)
-    pairs = _row_pairs(spec)
-    live = spec.d ** ladder_k(spec)
-    branched = _pair_branches(cat, live)
+    pairs = _live_pairs(spec)
+    branched = _pair_branches(cat.coeffs, pairs.size)
     u = float(np.random.default_rng(seed).random())
     # cumsum adds in label order, like a running float sum; the zero rows
     # after the live ones would add exactly nothing, so the pick is the same.
-    cdf = np.cumsum(branched[1][pairs[:live]])
+    cdf = np.cumsum(branched[1][pairs])
     position = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
     pair = pairs[position : position + 1]
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
@@ -505,32 +514,36 @@ def run_protocol(
 
 
 def _sector_images(spec: ProtocolSpec, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Row p of two (d**2, d) tables, for each pair p in ``pairs``: where its
-    real correction sends the receiver's sector ket |i..i>, and the factor."""
+    """Row p of two (d**2, d) tables, for each pair p in ``pairs``: the digit j
+    of the sector ket |j..j> that its real correction sends the receiver's
+    |i..i> to, or -1 off the sector, and the factor."""
     d, sector = spec.d, cat_sector_indices(spec.d, spec.m)
-    targets = np.zeros((d * d, d), dtype=np.int64)
+    slots = np.zeros((d * d, d), dtype=np.int64)
     factors = np.zeros((d * d, d), dtype=np.complex128)
     for pair in pairs:
         correction = _pair_correction(spec, int(pair))
-        targets[pair], factors[pair] = correction.perm[sector], correction.factors[sector]
-    return targets, factors
+        targets = correction.perm[sector]
+        slots[pair] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
+        factors[pair] = correction.factors[sector]
+    return slots, factors
 
 
-def _fold_corrections(cat: CatState, pairs: np.ndarray, branched, images):
-    """Each pair in ``pairs`` after its real correction (``images``): the
-    amplitudes left on the sector |i..i>, one row per pair, the norm sent off
-    it, and the fidelity with ``cat``. The arithmetic is the engine's, so
-    correct corrections give its fidelities bit for bit."""
+def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
+    """Each pair in ``pairs`` after its real correction (``images``), for the
+    cat coefficients ``coeffs`` or a stack of them on leading axes, as passed
+    to ``_pair_branches``: the amplitudes left on the sector |i..i>, one row
+    per pair, the norm sent off it, and the fidelity with the cat. The
+    arithmetic is the engine's, so correct corrections give its fidelities
+    bit for bit, and each cat of a stack gets the bits it gets alone."""
     branches, probabilities = branched
-    targets, factors = images[0][pairs], images[1][pairs]
-    moved = branches[pairs] / np.sqrt(probabilities[pairs])[:, None] * factors
-    unit = cat_sector_indices(cat.d, cat.m)[1]
-    on_sector = targets % unit == 0
+    slots, factors = images[0][pairs], images[1][pairs]
+    moved = branches[..., pairs, :] / np.sqrt(probabilities[..., pairs])[..., None] * factors
+    on_sector = slots >= 0
     rows, cols = np.nonzero(on_sector)
     folded = np.zeros_like(moved)
-    folded[rows, targets[rows, cols] // unit] = moved[rows, cols]
-    leaked = np.linalg.norm(np.where(on_sector, 0, moved), axis=1)
-    fidelities = np.abs(np.einsum("ij,j->i", folded, cat.coeffs.conj())) ** 2
+    folded[..., rows, slots[rows, cols]] = moved[..., rows, cols]
+    leaked = np.linalg.norm(np.where(on_sector, 0, moved), axis=-1)
+    fidelities = np.abs(np.einsum("...ij,...j->...i", folded, coeffs.conj())) ** 2
     return folded, leaked, fidelities
 
 
@@ -558,10 +571,12 @@ def barred_equivalence_check(
     sides = []
     for side, spec in ((cat, many_spec), single):
         live = d ** ladder_k(spec)
-        used = np.bincount(_row_pairs(spec)[:live], minlength=d * d) > 0
+        used = np.bincount(_live_pairs(spec), minlength=d * d) > 0
         pairs = np.flatnonzero(used)
-        branched = _pair_branches(side, live)
-        folded, leaked, _ = _fold_corrections(side, pairs, branched, _sector_images(spec, pairs))
+        branched = _pair_branches(side.coeffs, live)
+        folded, leaked, _ = _fold_corrections(
+            side.coeffs, pairs, branched, _sector_images(spec, pairs)
+        )
         sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
     (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
     max_prob_delta = float(np.abs(many_p - single_p).max())

@@ -1,8 +1,19 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
-from catport import ProtocolKind, ProtocolSpec, cost_of, cost_table
+from catport import (
+    ProtocolKind,
+    ProtocolSpec,
+    analysis,
+    cost_of,
+    cost_table,
+    enumerate_outcomes,
+    protocols,
+    random_cat_state,
+)
 from catport.analysis import collective_measurement_arity, nonzero_outcome_count
 
 
@@ -50,6 +61,34 @@ class TestCostOf:
             for seed in range(5):
                 cost_of(spec, cross_check=True, seed=seed)  # raises on mismatch
 
+    def test_cross_check_fails_when_a_live_outcome_has_zero_probability(self, monkeypatch):
+        branches = analysis._pair_branches
+
+        def lose_pair_0(coeffs, live):
+            # Row 0 of every protocol has pair 0 (no shift, no phase).
+            branched, probabilities = branches(coeffs, live)
+            probabilities = probabilities.copy()
+            probabilities[..., 0] = 0.0
+            return branched, probabilities
+
+        monkeypatch.setattr(analysis, "_pair_branches", lose_pair_0)
+        for spec in protocols.protocol_specs(3, 3):
+            with pytest.raises(RuntimeError, match="nonzero outcomes"):
+                cost_of(spec, cross_check=True)
+        with pytest.raises(RuntimeError, match="nonzero outcomes"):
+            cost_table([2], [2], cross_check=True)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_cross_check_fails_on_a_wrong_count(self, monkeypatch, offset):
+        monkeypatch.setattr(
+            analysis, "nonzero_outcome_count", lambda spec: spec.d ** protocols.ladder_k(spec) + offset
+        )
+        for spec in protocols.protocol_specs(2, 3):
+            with pytest.raises(RuntimeError, match="nonzero outcomes"):
+                cost_of(spec, cross_check=True)
+        with pytest.raises(RuntimeError, match="nonzero outcomes"):
+            cost_table([3], [2], include_hybrids=True, cross_check=True)
+
     def test_cross_check_skipped_over_cap(self):
         # register is 2**41; the analytic path must still succeed
         row = cost_of(ProtocolSpec(ProtocolKind.GHZ, 2, 20), cross_check=True)
@@ -89,6 +128,50 @@ class TestCostTable:
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):
             cost_table([], [2])
+
+    @pytest.mark.parametrize(
+        "d_values, m_values, shown",
+        [
+            ([2.9], [2], "2.9"),
+            ([True], [2], "True"),
+            ([2], [False], "False"),
+            ([3], [2.0], "2.0"),
+            ([np.float64(3.0)], [2], "3.0"),
+            ([np.True_], [2], "True"),
+            (["3"], [2], "'3'"),
+        ],
+    )
+    def test_non_integer_values_rejected(self, d_values, m_values, shown):
+        with pytest.raises(ValueError, match="must be integers, got .*" + re.escape(shown)):
+            cost_table(d_values, m_values)
+
+    def test_numpy_integers_accepted(self):
+        rows = cost_table(np.arange(2, 4), [np.int32(2), 3], include_hybrids=True)
+        assert rows == cost_table([2, 3], [2, 3], include_hybrids=True)
+        assert all(type(r.spec.d) is int and type(r.spec.m) is int for r in rows)
+
+    def test_cross_check_draws_one_cat_per_point(self, monkeypatch):
+        drawn = []
+
+        def counted(d, m, seed):
+            drawn.append((d, m, seed))
+            return random_cat_state(d, m, seed)
+
+        monkeypatch.setattr(analysis, "random_cat_state", counted)
+        rows = cost_table([2, 3], [1, 2, 3], include_hybrids=True, cross_check=True)
+        assert len(rows) == sum(len(protocols.protocol_specs(d, m)) for d in (2, 3) for m in (1, 2, 3))
+        assert drawn == [(d, m, 0) for d in (2, 3) for m in (1, 2, 3)]
+
+    def test_cross_checked_table_builds_no_outcome_records(self, monkeypatch):
+        def no_records(*args, **kwargs):
+            raise AssertionError("the cross-check built an outcome record or state")
+
+        for name in ("OutcomeRecord", "PureState", "sector_state"):
+            monkeypatch.setattr(protocols, name, no_records)
+        with pytest.raises(AssertionError):  # the old cross-check's path
+            enumerate_outcomes(random_cat_state(2, 2, 0), ProtocolSpec(ProtocolKind.BARRED, 2, 2))
+        rows = cost_table(range(2, 6), range(1, 5), include_hybrids=True, cross_check=True)
+        assert len(rows) == sum(len(protocols.protocol_specs(d, m)) for d in range(2, 6) for m in range(1, 5))
 
 
 class TestTradeOffLaw:

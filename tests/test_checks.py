@@ -2,6 +2,7 @@
 certifies is broken, and each must agree with the dense suites it replaced,
 which stay here as the reference."""
 
+import math
 import time
 import tracemalloc
 
@@ -26,6 +27,7 @@ from catport.protocols import (
     ProtocolSpec,
     _pair_correction,
     _row_pairs,
+    _sector_images,
     compose_joint_state,
     enumerate_outcomes,
     ladder_k,
@@ -210,6 +212,87 @@ def test_matches_dense_checks(d, m, seeds):
     assert basis.max_error >= dense_basis - 1e-15, (basis.max_error, dense_basis)
     for result, (name, error, _) in zip(results[1:], reference[1:]):
         assert abs(result.max_error - error) <= 1e-15, (name, result.max_error, error)
+
+
+def one_cat_branches(coeffs, live):
+    """``_pair_branches`` for one cat, as written before cats were stacked."""
+    source, _, rephase, _ = protocols._pair_tables(coeffs.size)
+    branches = coeffs[source] * rephase / math.sqrt(live)
+    return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
+
+
+def one_cat_fidelities(coeffs, pairs, branched, images):
+    """``_fold_corrections``' fidelities for one cat, as written before cats
+    were stacked."""
+    branches, probabilities = branched
+    slots, factors = images[0][pairs], images[1][pairs]
+    moved = branches[pairs] / np.sqrt(probabilities[pairs])[:, None] * factors
+    rows, cols = np.nonzero(slots >= 0)
+    folded = np.zeros_like(moved)
+    folded[rows, slots[rows, cols]] = moved[rows, cols]
+    return np.abs(np.einsum("ij,j->i", folded, coeffs.conj())) ** 2
+
+
+def per_cat_spec_loop(d, m, seeds):
+    """The spec loop of run_all_checks as it was before the cats were
+    stacked: the branches, probabilities and corrected fidelities of one cat
+    at a time. Returns {check name: max_error} for the five checks it feeds."""
+    specs = protocol_specs(d, m)
+    cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
+    counts = sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs)
+    images = _sector_images(specs[0], np.flatnonzero(counts))
+    sum_err = fidelity_err = selection_err = uniformity_err = phase_err = 0.0
+    twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
+    for spec in specs:
+        live = d ** ladder_k(spec)
+        live_pairs = _row_pairs(spec)[:live]
+        used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
+        missing_shifts = d - np.unique(used // d).size
+        base = None
+        for cat in cats + [twisted]:
+            branched = one_cat_branches(cat.coeffs, live)
+            probabilities = branched[1][used]
+            fidelities = one_cat_fidelities(cat.coeffs, used, branched, images)
+            if cat is twisted:
+                phase_err = max(
+                    phase_err,
+                    float(np.abs(probabilities - base[0]).max()),
+                    float(np.abs(fidelities - base[1]).max()),
+                )
+                continue
+            if cat is cats[0]:
+                base = (probabilities, fidelities)
+            sum_err = max(sum_err, abs(sum(branched[1][live_pairs].tolist()) - 1.0))
+            uniformity_err = max(uniformity_err, float(np.abs(probabilities - 1.0 / live).max()))
+            fidelity_err = max(fidelity_err, float(np.abs(fidelities - 1.0).max()))
+            norm = float(np.vdot(cat.coeffs, cat.coeffs).real)
+            selection_err = max(selection_err, missing_shifts * norm / d)
+    return {
+        "probability_completeness": sum_err,
+        "perfect_teleportation": fidelity_err,
+        "selection_rule": selection_err,
+        "outcome_uniformity": uniformity_err,
+        "global_phase_invariance": phase_err,
+    }
+
+
+@pytest.mark.parametrize("seeds", [1, 2, 3])
+@pytest.mark.parametrize("d, m", ORACLE_GRID)
+def test_stacked_cats_match_the_per_cat_loop(d, m, seeds):
+    results = {r.name: r.max_error for r in run_all_checks(d, m, seeds)}
+    for name, error in per_cat_spec_loop(d, m, seeds).items():
+        assert results[name] == error, (name, results[name], error)
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_no_seeds_rejected_before_anything_is_built(seeds):
+    with pytest.raises(ValueError, match="seeds"):
+        run_all_checks(3, 2, seeds)
+    # Neither the size cap nor the specs are reached.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="seeds"):
+        run_all_checks(10**9, 10**6, seeds)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_memory_at_d2_m10():

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from test_sector_oracle import ORACLE_GRID
 
 from catport import (
     BellLabel,
@@ -574,6 +575,20 @@ class TestRowIndex:
             live = d ** ladder_k(spec)
             assert list(occurs) == [row < live for row in range(len(labels))], spec
             assert list(live_labels) == labels[:live], spec
+
+    @pytest.mark.parametrize("d,m", ORACLE_GRID)
+    def test_live_pair_column_gives_the_recorded_probabilities(self, d, m):
+        # The column the cross-check counts and run_protocol samples from,
+        # padded with the structural zeros, is enumerate_outcomes' column.
+        for seed in range(5):
+            cat = random_cat_state(d, m, seed)
+            for spec in all_specs(d, m):
+                pairs = protocols._live_pairs(spec)
+                branched = protocols._pair_branches(cat.coeffs, d ** ladder_k(spec))
+                column = np.zeros(d ** (m + 1))
+                column[: pairs.size] = branched[1][pairs]
+                records = enumerate_outcomes(cat, spec)
+                assert column.tolist() == [r.probability for r in records], (spec, seed)
 
     @pytest.mark.parametrize("d,m", [(2, 3), (3, 2), (5, 1), (3, 3)])
     def test_cat_sector_correction_digit_by_digit(self, d, m):
