@@ -13,9 +13,14 @@ record or correction matrix is built: each check works on d-vectors per
 pair, on the pair column of each protocol's outcome rows, and on the
 corrections' permutations and phase factors.
 
-The seeded cats and the phase-twisted first cat are stacked, one row each,
-so each protocol's branches, probabilities and corrected fidelities are
-computed once for the whole batch. Every row is rounded as it would be alone.
+The seeded cats are stacked one row each, in blocks of a fixed number of
+branch amplitudes, so memory is flat in the seed count; the first block also
+carries the first cat with a global phase. Protocols at one ladder position
+share their live pairs, so each position's branches, probabilities and
+corrected fidelities are computed once per block, and so is the collective
+versus single-particle equivalence. The d**2 corrections are certified
+together on their stacked tables. Every row is rounded as it would be alone,
+so the results do not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -31,15 +36,14 @@ from .bases import BasisFamily, BasisLabel, BellLabel, ComplementLabel
 from .core import DEFAULT_MAX_DIM, random_cat_state
 from .protocols import (
     MonomialOperator,
+    _equivalence_deltas,
     _fold_corrections,
     _live_pairs,
     _pair_branches,
     _pair_correction,
     _row_pairs,
     _sector_images,
-    barred_equivalence_check,
     check_size,
-    ladder_k,
     protocol_specs,
 )
 
@@ -148,17 +152,42 @@ def _basis_error(d: int, m: int) -> float:
     return max(errors)
 
 
-def _unitarity_error(correction: MonomialOperator) -> float:
-    """1.0 unless the digit map is a bijection that the adjoint undoes
-    exactly; then the largest ||f|**2 - 1| over the phase factors, because
-    U^dagger U - I of a monomial operator is diagonal with those entries."""
-    perm = correction.perm
-    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
-        return 1.0
-    if not (correction.adjoint() @ correction).is_identity():
-        return 1.0
-    factors = correction.factors
-    return float(np.abs(factors.real ** 2 + factors.imag ** 2 - 1.0).max())
+def _unitarity_error(d: int, corrections: list[MonomialOperator]) -> float:
+    """The worst of ``corrections``, checked together on their stacked
+    tables: 1.0 unless a correction's digit map is a bijection that its
+    adjoint undoes exactly, and then the largest ||f|**2 - 1| over its phase
+    factors, because U^dagger U - I of a monomial operator is diagonal with
+    those entries."""
+    perms = np.array([correction.perm for correction in corrections])
+    identity = np.arange(perms.shape[1])
+    rows = np.arange(perms.shape[0])[:, None]
+    undone = (np.sort(perms, axis=1) == identity).all(axis=1)
+    # A row that is no bijection fails as it is; the identity in its place
+    # keeps the adjoint's scatter in range.
+    perms[~undone] = identity
+    # The adjoint sends perm[s] back to s with phase -phase_exp[s]; composed
+    # after the correction it must give the identity, exactly, mod d.
+    adjoint = np.empty_like(perms)
+    adjoint[rows, perms] = identity
+    undone &= (adjoint[rows, perms] == identity).all(axis=1)
+    phases = np.array([correction.phase_exp for correction in corrections])
+    adjoint[rows, perms] = -phases
+    composed = adjoint[rows, perms]
+    del adjoint, perms  # the tables are d**m entries per correction
+    composed += phases
+    undone &= ~(composed % d).any(axis=1)
+    del composed, phases
+    factors = np.array([correction.factors for correction in corrections])
+    deviations = factors.real ** 2
+    deviations += factors.imag ** 2
+    deviations -= 1.0
+    return float(np.where(undone, np.abs(deviations).max(axis=1), 1.0).max())
+
+
+# Entries checked together: d**3 branch amplitudes per cat, d**m table
+# entries per correction. A block's arrays take a small multiple of 16 bytes
+# per entry, so memory is flat in the seed count and the register size.
+CHECK_BLOCK_ENTRIES = 1 << 18
 
 
 def run_all_checks(
@@ -169,65 +198,83 @@ def run_all_checks(
     # Before anything is built: listing the m + 4 specs of a huge register is slow.
     check_size(d, m, max_dim)
     specs = protocol_specs(d, m)
-    cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
     basis_err = _basis_error(d, m)
 
     # Outcomes with the same (shift, phase) pair share one operator: check each once.
     counts = sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs)
-    corrections = {pair: _pair_correction(specs[0], pair) for pair in np.flatnonzero(counts)}
-    unitarity_err = max(_unitarity_error(c) for c in corrections.values())
-    images = _sector_images(specs[0], corrections)
+    pairs = np.flatnonzero(counts)
+    corrections = [_pair_correction(specs[0], pair) for pair in pairs.tolist()]
+    chunk = max(1, CHECK_BLOCK_ENTRIES // d ** m)
+    unitarity_err = max(
+        _unitarity_error(d, corrections[start : start + chunk])
+        for start in range(0, len(corrections), chunk)
+    )
+    images = _sector_images(specs[0], pairs)
+
+    # Specs with the same d**k live rows over the same pairs share branches,
+    # probabilities and fold: one per ladder position. Only the row order of
+    # the completeness sum is each spec's own, and equal columns sum alike.
+    positions = {}
+    for spec in specs:
+        live_pairs = _live_pairs(spec)
+        used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
+        columns = positions.setdefault((live_pairs.size, used.tobytes()), (used, {}))[1]
+        columns.setdefault(live_pairs.tobytes(), live_pairs)
 
     sum_err = 0.0
     fidelity_err = 0.0
     selection_err = 0.0
     uniformity_err = 0.0
     phase_err = 0.0
-    # The seeded cats, then the first one with a global phase: one row each.
-    stack = np.array([cat.coeffs for cat in cats] + [cats[0].coeffs * np.exp(0.73j)])
-    norms = [float(np.vdot(cat.coeffs, cat.coeffs).real) for cat in cats]
-    for spec in specs:
-        # The first d**k rows can occur, each with probability 1/d**k.
-        live = d ** ladder_k(spec)
-        live_pairs = _live_pairs(spec)
-        used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
-        # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
-        # has shift s; with no such live row, it would land on a forbidden one.
-        missing_shifts = d - np.unique(used // d).size
-        branched = _pair_branches(stack, live)
-        probabilities = branched[1][:, used]
-        fidelities = _fold_corrections(stack, used, branched, images)[2]
-        phase_err = max(
-            phase_err,
-            float(np.abs(probabilities[-1] - probabilities[0]).max()),
-            float(np.abs(fidelities[-1] - fidelities[0]).max()),
-        )
-        # Row order, as a running sum over the outcome records adds them.
-        column = branched[1][:-1, live_pairs]
-        sum_err = max(sum_err, *(abs(sum(row.tolist()) - 1.0) for row in column))
-        uniformity_err = max(uniformity_err, float(np.abs(probabilities[:-1] - 1.0 / live).max()))
-        fidelity_err = max(fidelity_err, float(np.abs(fidelities[:-1] - 1.0).max()))
-        selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
-
-    # The receiver's reduced state from the d**2 nonzero joint amplitudes
-    # alpha_l / sqrt(d) on sender (l..l, i) and receiver (i..i), traced over
-    # the sender index (l, i). Off the sector it is exactly zero, as is the
-    # expected maximally mixed state I/d there.
     signaling_err = 0.0
-    receiver = np.arange(d)
-    for cat in cats:
-        joint = np.zeros((d, d, d), dtype=np.complex128)
-        joint[receiver, :, receiver] = cat.coeffs * (1.0 / math.sqrt(d))
-        traced = joint.reshape(d, d * d)
-        rho = traced @ traced.conj().T
-        signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
-
     equivalence_err = 0.0
-    for cat in cats:
-        report = barred_equivalence_check(cat, d, m, max_dim=max_dim)
-        equivalence_err = max(
-            equivalence_err, report.max_prob_delta, report.max_state_delta
-        )
+    receiver = np.arange(d)
+    block_cats = max(1, CHECK_BLOCK_ENTRIES // d ** 3)
+    for start in range(0, seeds, block_cats):
+        block = [
+            random_cat_state(d, m, seed).coeffs
+            for seed in range(start, min(start + block_cats, seeds))
+        ]
+        cats = len(block)
+        # The first block also carries the first cat with a global phase, last.
+        stack = np.array(block + [block[0] * np.exp(0.73j)] if start == 0 else block)
+        norms = [float(np.vdot(coeffs, coeffs).real) for coeffs in block]
+        for (live, _), (used, columns) in positions.items():
+            # The first d**k rows can occur, each with probability 1/d**k.
+            branched = _pair_branches(stack, live)
+            probabilities = branched[1][:, used]
+            fidelities = _fold_corrections(stack, used, branched, images)[2]
+            if start == 0:
+                phase_err = max(
+                    phase_err,
+                    float(np.abs(probabilities[-1] - probabilities[0]).max()),
+                    float(np.abs(fidelities[-1] - fidelities[0]).max()),
+                )
+            # Row order, as a running sum over the outcome records adds them.
+            for live_pairs in columns.values():
+                sums = (sum(memoryview(row[live_pairs])) for row in branched[1][:cats])
+                sum_err = max(sum_err, *(abs(total - 1.0) for total in sums))
+            probabilities, fidelities = probabilities[:cats], fidelities[:cats]
+            uniformity_err = max(uniformity_err, float(np.abs(probabilities - 1.0 / live).max()))
+            fidelity_err = max(fidelity_err, float(np.abs(fidelities - 1.0).max()))
+            # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
+            # has shift s; with no such live row, it would land on a forbidden one.
+            missing_shifts = d - np.unique(used // d).size
+            selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
+
+        # The receiver's reduced state from the d**2 nonzero joint amplitudes
+        # alpha_l / sqrt(d) on sender (l..l, i) and receiver (i..i), traced over
+        # the sender index (l, i). Off the sector it is exactly zero, as is the
+        # expected maximally mixed state I/d there.
+        for coeffs in block:
+            joint = np.zeros((d, d, d), dtype=np.complex128)
+            joint[receiver, :, receiver] = coeffs * (1.0 / math.sqrt(d))
+            traced = joint.reshape(d, d * d)
+            rho = traced @ traced.conj().T
+            signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
+
+        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], d, m)
+        equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
 
     return [
         _result("basis_orthonormality", basis_err, 1e-12),

@@ -224,16 +224,14 @@ def cat_sector_correction(
     no phase, which keeps it monomial and unitary everywhere. There are d**2
     of these per register; :func:`_pair_correction` builds each once.
     """
-    rest = np.arange(d ** num_qudits, dtype=np.int64)
-    unit = cat_sector_indices(d, num_qudits)[1]
-    constant = rest % unit == 0
-    perm = np.zeros_like(rest)
-    place = 1
-    for _ in range(num_qudits):
-        rest, digit = np.divmod(rest, d)
-        perm += (digit - shift) % d * place
-        place *= d
-    phases = np.where(constant, (phase_power * (perm // unit)) % d, 0)
+    # Every qudit gets the same one-qudit shift, tensored as monomial_tensor does.
+    one = (np.arange(d, dtype=np.int64) - shift) % d
+    perm = one
+    for _ in range(num_qudits - 1):
+        perm = (perm[:, None] * d + one).reshape(-1)
+    sector = cat_sector_indices(d, num_qudits)
+    phases = np.zeros_like(perm)
+    phases[sector] = (phase_power * (perm[sector] // sector[1])) % d
     return MonomialOperator(d, num_qudits, perm, phases)
 
 
@@ -513,18 +511,17 @@ def run_protocol(
     return OutcomeRecord(_live_labels(spec)[position], probability, pre, correction, post, fidelity)
 
 
-def _sector_images(spec: ProtocolSpec, pairs) -> tuple[np.ndarray, np.ndarray]:
+def _sector_images(spec: ProtocolSpec, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row p of two (d**2, d) tables, for each pair p in ``pairs``: the digit j
     of the sector ket |j..j> that its real correction sends the receiver's
     |i..i> to, or -1 off the sector, and the factor."""
     d, sector = spec.d, cat_sector_indices(spec.d, spec.m)
+    corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
+    targets = np.array([correction.perm[sector] for correction in corrections])
     slots = np.zeros((d * d, d), dtype=np.int64)
     factors = np.zeros((d * d, d), dtype=np.complex128)
-    for pair in pairs:
-        correction = _pair_correction(spec, int(pair))
-        targets = correction.perm[sector]
-        slots[pair] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
-        factors[pair] = correction.factors[sector]
+    slots[pairs] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
+    factors[pairs] = [correction.factors[sector] for correction in corrections]
     return slots, factors
 
 
@@ -547,6 +544,29 @@ def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
     return folded, leaked, fidelities
 
 
+def _equivalence_deltas(coeffs: np.ndarray, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest probability delta and the largest state delta of
+    :func:`barred_equivalence_check`, one entry per cat of the stack
+    ``coeffs`` (one row of d coefficients each). Each cat gets the bits it
+    gets alone."""
+    many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
+    sides = []
+    for spec in (many_spec, ProtocolSpec(ProtocolKind.BELL, d, 1)):
+        used = np.bincount(_live_pairs(spec), minlength=d * d) > 0
+        pairs = np.flatnonzero(used)
+        branched = _pair_branches(coeffs, d ** ladder_k(spec))
+        folded, leaked, _ = _fold_corrections(
+            coeffs, pairs, branched, _sector_images(spec, pairs)
+        )
+        sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
+    (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
+    prob_deltas = np.abs(many_p - single_p).max(axis=-1)
+    if not np.array_equal(many_used, single_used):
+        return prob_deltas, np.ones_like(prob_deltas)
+    state_deltas = np.abs(many_post - single_post).max(axis=(-2, -1))
+    return prob_deltas, np.maximum(state_deltas, leaked.max(axis=-1))
+
+
 def barred_equivalence_check(
     cat: CatState, d: int, m: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> EquivalenceReport:
@@ -564,23 +584,6 @@ def barred_equivalence_check(
     """
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
-
-    many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
-    _check_inputs(cat, many_spec, max_dim)
-    single = (CatState(d, 1, cat.coeffs), ProtocolSpec(ProtocolKind.BELL, d, 1))
-    sides = []
-    for side, spec in ((cat, many_spec), single):
-        live = d ** ladder_k(spec)
-        used = np.bincount(_live_pairs(spec), minlength=d * d) > 0
-        pairs = np.flatnonzero(used)
-        branched = _pair_branches(side.coeffs, live)
-        folded, leaked, _ = _fold_corrections(
-            side.coeffs, pairs, branched, _sector_images(spec, pairs)
-        )
-        sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
-    (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
-    max_prob_delta = float(np.abs(many_p - single_p).max())
-    if not np.array_equal(many_used, single_used):
-        return EquivalenceReport(max_prob_delta, 1.0)
-    deltas = np.abs(many_post - single_post).max(axis=1)
-    return EquivalenceReport(max_prob_delta, float(max(deltas.max(), leaked.max())))
+    check_size(d, m, max_dim)
+    prob_deltas, state_deltas = _equivalence_deltas(cat.coeffs[None], d, m)
+    return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))

@@ -102,6 +102,29 @@ class TestMutations:
         monkeypatch.setattr(bases, "barred_bell_basis_state", corrupted)
         assert "basis_orthonormality" in failures(3, 2, 3)
 
+    @pytest.mark.parametrize("broken", ["repeated_target", "factor_off_the_circle"])
+    def test_corrupted_correction_fails_unitarity(self, monkeypatch, fresh_corrections, broken):
+        # Built past the constructor's validation, and on ket |0..01> of the
+        # m-qudit register, which is off the sector, so no branch sees it:
+        # only the certificate can.
+        build = protocols.cat_sector_correction
+
+        def corrupted(d, n, phase_power, shift):
+            good = build(d, n, phase_power, shift)
+            if n == 1:
+                return good
+            bad = object.__new__(MonomialOperator)
+            bad.d, bad.num_qudits, bad.phase_exp = d, n, good.phase_exp
+            bad.perm, bad.factors = good.perm.copy(), good.factors.copy()
+            if broken == "repeated_target":
+                bad.perm[1] = bad.perm[0]
+            else:
+                bad.factors[1] *= 1 + 1e-9
+            return bad
+
+        monkeypatch.setattr(protocols, "cat_sector_correction", corrupted)
+        assert failures(3, 2, 3) == {"correction_unitarity"}
+
     @pytest.mark.parametrize("broken", ["drops_last_ket", "repeats_first_ket"])
     def test_complement_labels_miss_the_off_support_kets(
         self, monkeypatch, fresh_basis_certificate, broken
@@ -314,3 +337,102 @@ def test_cap_is_checked_before_the_specs_are_listed():
     with pytest.raises(SizeCapError):
         run_all_checks(10**9, 10**6, 1)
     assert time.perf_counter() - start < 2.0
+
+
+def per_operator_unitarity_error(correction):
+    """``_unitarity_error`` for one operator, as written before the
+    corrections were stacked."""
+    perm = correction.perm
+    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        return 1.0
+    if not (correction.adjoint() @ correction).is_identity():
+        return 1.0
+    factors = correction.factors
+    return float(np.abs(factors.real ** 2 + factors.imag ** 2 - 1.0).max())
+
+
+def per_pair_sector_images(spec, pairs):
+    """``_sector_images`` as written before the corrections were stacked:
+    one pair at a time."""
+    d, sector = spec.d, cat_sector_indices(spec.d, spec.m)
+    slots = np.zeros((d * d, d), dtype=np.int64)
+    factors = np.zeros((d * d, d), dtype=np.complex128)
+    for pair in pairs:
+        correction = _pair_correction(spec, int(pair))
+        targets = correction.perm[sector]
+        slots[pair] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
+        factors[pair] = correction.factors[sector]
+    return slots, factors
+
+
+def per_cat_equivalence(cat, d, m):
+    """``barred_equivalence_check`` as written before the cats were stacked:
+    (max_prob_delta, max_state_delta) of one cat."""
+    many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
+    single = (CatState(d, 1, cat.coeffs), ProtocolSpec(ProtocolKind.BELL, d, 1))
+    sides = []
+    for side, spec in ((cat, many_spec), single):
+        live = d ** ladder_k(spec)
+        used = np.bincount(_row_pairs(spec)[:live], minlength=d * d) > 0
+        pairs = np.flatnonzero(used)
+        branched = protocols._pair_branches(side.coeffs, live)
+        folded, leaked, _ = protocols._fold_corrections(
+            side.coeffs, pairs, branched, per_pair_sector_images(spec, pairs)
+        )
+        sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
+    (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
+    max_prob_delta = float(np.abs(many_p - single_p).max())
+    if not np.array_equal(many_used, single_used):
+        return max_prob_delta, 1.0
+    deltas = np.abs(many_post - single_post).max(axis=1)
+    return max_prob_delta, float(max(deltas.max(), leaked.max()))
+
+
+@pytest.mark.parametrize("seeds", [1, 2, 3])
+@pytest.mark.parametrize("d, m", ORACLE_GRID)
+def test_stacked_certificates_match_the_per_cat_and_per_operator_ones(d, m, seeds):
+    results = {r.name: r.max_error for r in run_all_checks(d, m, seeds)}
+    specs = protocol_specs(d, m)
+    pairs = np.flatnonzero(sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs))
+    unitarity = max(per_operator_unitarity_error(_pair_correction(specs[0], p)) for p in pairs)
+    assert results["correction_unitarity"] == unitarity
+    for new, old in zip(_sector_images(specs[0], pairs), per_pair_sector_images(specs[0], pairs)):
+        assert np.array_equal(new, old)
+    equivalence = 0.0
+    for seed in range(seeds):
+        cat = random_cat_state(d, m, seed)
+        report = protocols.barred_equivalence_check(cat, d, m)
+        reference = per_cat_equivalence(cat, d, m)
+        assert (report.max_prob_delta, report.max_state_delta) == reference, seed
+        equivalence = max(equivalence, *reference)
+    assert results["barred_equivalence"] == equivalence
+
+
+def test_memory_is_flat_in_seeds():
+    run_all_checks(20, 2, 1)  # the basis certificate and corrections, once per process
+    peaks = []
+    for seeds in (checks.CHECK_BLOCK_ENTRIES // 20**3, 2000):
+        tracemalloc.start()
+        try:
+            results = run_all_checks(20, 2, seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (2, 3), (5, 2)])
+@pytest.mark.parametrize("block_cats", [1, 2, 3])
+def test_blocks_change_nothing(monkeypatch, d, m, block_cats):
+    expected = run_all_checks(d, m, 7)
+    drawn = []
+
+    def recorded(d, m, seed):
+        drawn.append(seed)
+        return random_cat_state(d, m, seed)
+
+    monkeypatch.setattr(checks, "CHECK_BLOCK_ENTRIES", block_cats * d**3)
+    monkeypatch.setattr(checks, "random_cat_state", recorded)
+    assert run_all_checks(d, m, 7) == expected
+    assert drawn == list(range(7))

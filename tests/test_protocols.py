@@ -33,6 +33,7 @@ from catport import (
     run_protocol,
 )
 from catport.bases import BasisLabel
+from catport.core import cat_sector_indices
 from catport.protocols import cat_sector_correction, ladder_k
 
 W3 = np.exp(2j * np.pi / 3)
@@ -601,6 +602,25 @@ class TestRowIndex:
                 assert op.perm[index] == digits_to_index(shape, target)
                 constant = len(set(ket)) == 1
                 assert op.phase_exp[index] == (phase * target[0] % d if constant else 0)
+
+    @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (5, 3), (4, 5), (2, 12)])
+    def test_cat_sector_correction_matches_the_digit_pass_build(self, d, m):
+        # The build before the one-qudit shift was tensored: one divmod pass
+        # per digit over the whole register.
+        rest = np.arange(d ** m, dtype=np.int64)
+        unit = cat_sector_indices(d, m)[1]
+        constant = rest % unit == 0
+        for shift in range(d):
+            for phase in {0, 1, d - 1}:
+                digits, perm, place = rest, np.zeros_like(rest), 1
+                for _ in range(m):
+                    digits, digit = np.divmod(digits, d)
+                    perm += (digit - shift) % d * place
+                    place *= d
+                phases = np.where(constant, (phase * (perm // unit)) % d, 0)
+                op = cat_sector_correction(d, m, phase, shift)
+                assert np.array_equal(op.perm, perm), (shift, phase)
+                assert np.array_equal(op.phase_exp, phases), (shift, phase)
 
     @pytest.mark.parametrize("d,m", [(3, 3), (2, 5)])
     def test_run_builds_no_family_labels(self, d, m, monkeypatch):
