@@ -10,7 +10,7 @@ d**2 (shift, phase) pairs, each undone by one monomial correction, and every
 measured family is built from a d x d Fourier slot and sector states with d
 nonzero amplitudes each. So no joint register, family matrix, outcome
 record or correction matrix is built: each check works on d-vectors per
-pair, on the pair column of each protocol's outcome rows, and on the
+pair, on the pair column of each protocol's live outcome rows, and on the
 corrections' permutations and phase factors.
 
 The seeded cats are stacked one row each, in blocks of a fixed number of
@@ -41,7 +41,6 @@ from .protocols import (
     _live_pairs,
     _pair_branches,
     _pair_correction,
-    _row_pairs,
     _sector_images,
     check_size,
     protocol_specs,
@@ -201,7 +200,7 @@ def run_all_checks(
     basis_err = _basis_error(d, m)
 
     # Outcomes with the same (shift, phase) pair share one operator: check each once.
-    counts = sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs)
+    counts = sum(np.bincount(_live_pairs(spec), minlength=d * d) for spec in specs)
     pairs = np.flatnonzero(counts)
     corrections = [_pair_correction(specs[0], pair) for pair in pairs.tolist()]
     chunk = max(1, CHECK_BLOCK_ENTRIES // d ** m)

@@ -80,16 +80,20 @@ def load_cat_file(path: str) -> CatState:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         d, m = doc["d"], doc["m"]
         coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"cannot read cat-state file {path}: {exc}") from exc
     # Exact type test: bool is an int subclass, and 2.9 or "3" must not truncate.
     if type(d) is not int or type(m) is not int:
         raise CliError(f"cat-state file {path} needs integer d and m, got {d!r} and {m!r}")
+    # complex() rejects every other non-number, but reads true and false as 1 and 0.
+    if any(type(part) is bool for pair in doc["coeffs"] for part in pair):
+        raise CliError(f"cat-state file {path} has boolean coefficients")
     if coeffs.shape != (d,):
         raise CliError(f"cat-state file lists {coeffs.size} coefficients for d={d}")
     if not np.isfinite(coeffs).all():
         raise CliError(f"cat-state file {path} has non-finite coefficients")
-    nrm = float(np.linalg.norm(coeffs))
+    with np.errstate(over="ignore"):  # an infinite norm is rejected below
+        nrm = float(np.linalg.norm(coeffs))
     if abs(nrm - 1.0) > NORM_INPUT_TOL:
         raise CliError(f"cat-state coefficients have norm {nrm!r}")
     return CatState(d, m, coeffs / nrm)

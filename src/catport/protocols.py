@@ -37,13 +37,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import bases
-from .bases import BasisLabel, BellLabel, GhzLabel, JointLabel, MeasurementBasis
+from .bases import BasisLabel, BellLabel, ComplementLabel, GhzLabel, JointLabel, MeasurementBasis
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
@@ -254,10 +253,12 @@ class EquivalenceReport:
 
 
 def check_size(d: int, m: int, max_dim: int) -> None:
-    """Raise SizeCapError if d**(2m+1), the nominal joint register at (d, m),
-    exceeds ``max_dim``. A d < 2 or m < 1 is left to the caller's errors."""
-    if d >= 2 and m >= 1:
-        RegisterShape(d, 2 * m + 1, max_dim=max_dim)
+    """Raise ValueError, worded as ProtocolSpec words it, unless d >= 2 and
+    m >= 1, and SizeCapError if d**(2m+1), the nominal joint register at
+    (d, m), exceeds ``max_dim``."""
+    if d >= 2 and m < 1:
+        raise ValueError(f"need at least one particle, got {m}")
+    RegisterShape(d, 2 * m + 1, max_dim=max_dim)
 
 
 def _check_inputs(cat: CatState, spec: ProtocolSpec, max_dim: int) -> None:
@@ -311,55 +312,71 @@ def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
 
 
 @lru_cache(maxsize=128)
-def _label_rows(spec: ProtocolSpec) -> dict[BasisLabel, int]:
-    """Each outcome label of the family, in its order, mapped to its row."""
-    return {label: row for row, label in enumerate(_family_labels(spec))}
-
-
-@lru_cache(maxsize=128)
-def _row_pairs(spec: ProtocolSpec) -> np.ndarray:
-    """Each outcome row's pair ``shift * d + phase``. The rows that can occur
-    are the first d**k, whatever the cat state.
-
-    A Bell-tailed row is (n*d + shift) * d**(k-2) plus the Fourier outcomes
-    in mixed radix, with phase n plus their digit sum. A GHZ row below d**3
-    is n*d**2 + shift*d + phase and occurs when n = 0. Every other row is a
-    complement ket; any unitary would do there, and it gets pair 0.
-    """
-    d, k = spec.d, ladder_k(spec)
-    pair = np.zeros(d ** (spec.m + 1), dtype=np.int64)
-    if spec.kind is ProtocolKind.GHZ:
-        pair[: d ** 3] = np.arange(d ** 3) % (d * d)
-    else:
-        tail, rest = np.divmod(np.arange(d ** k), d ** (k - 2))
-        phase, shift = np.divmod(tail, d)
-        for _ in range(k - 2):
-            rest, alpha = np.divmod(rest, d)
-            phase += alpha
-        pair[: d ** k] = shift * d + phase % d
-    pair.setflags(write=False)
-    return pair
-
-
-@lru_cache(maxsize=128)
 def _live_pairs(spec: ProtocolSpec) -> np.ndarray:
-    """The pair column of the d**k outcome rows that can occur, the first ones.
-    Indexing the pairs' probabilities with it gives the outcome probability
-    column; every later row is zero by structure."""
-    return _row_pairs(spec)[: spec.d ** ladder_k(spec)]
+    """Each pair ``shift * d + phase`` of the d**k outcome rows that can occur,
+    the first ones whatever the cat state. Indexing the pairs' probabilities
+    with it gives the outcome probability column; every later row is zero by
+    structure.
 
-
-@lru_cache(maxsize=128)
-def _live_labels(spec: ProtocolSpec) -> tuple[BasisLabel, ...]:
-    """The labels of the d**k rows that can occur, in row order."""
-    digit_pairs = list(product(range(spec.d), repeat=2))
+    GHZ row s*d + p is ghz(0,s,p), with pair s*d + p. Any other row is
+    (n*d + s) * d**(k-2) plus the Fourier outcomes in mixed radix, with shift
+    s and phase n plus their digit sum.
+    """
+    d = spec.d
     if spec.kind is ProtocolKind.GHZ:
-        return tuple(GhzLabel(0, s, p) for s, p in digit_pairs)
-    tails = [BellLabel(n, s) for n, s in digit_pairs]
+        pairs = np.arange(d * d)
+    else:
+        # The Fourier digit sums in mixed-radix order, tensored one slot at a time.
+        digit_sums = np.zeros(1, dtype=np.int64)
+        for _ in range(ladder_k(spec) - 2):
+            digit_sums = (digit_sums[:, None] + np.arange(d)).reshape(-1)
+        phase, shift = np.divmod(np.arange(d * d), d)
+        pairs = (shift[:, None] * d + (phase[:, None] + digit_sums) % d).reshape(-1)
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _live_label(spec: ProtocolSpec, row: int) -> BasisLabel:
+    """The label of ``row``, one of the d**k rows that can occur, laid out as
+    :func:`_live_pairs` reads them."""
+    d, num_pi = spec.d, ladder_k(spec) - 2
+    if spec.kind is ProtocolKind.GHZ:
+        return GhzLabel(0, *divmod(row, d))
+    tail, rest = divmod(row, d ** num_pi)
+    bell = BellLabel(*divmod(tail, d))
     if spec.kind is ProtocolKind.BARRED:
-        return tuple(tails)
-    alphas = list(product(range(spec.d), repeat=ladder_k(spec) - 2))
-    return tuple(JointLabel(a, t) for t in tails for a in alphas)
+        return bell
+    return JointLabel([rest // d ** place % d for place in reversed(range(num_pi))], bell)
+
+
+def _label_pair(spec: ProtocolSpec, label: BasisLabel) -> int:
+    """The pair ``shift * d + phase`` of a label of the protocol's family.
+
+    A Bell tail's shift is its ``m`` and its phase its ``n`` plus the Fourier
+    outcomes; a GHZ label's pair is (m, k) whatever its n. A complement ket
+    never occurs and gets pair 0; any unitary would do there. Raises
+    ValueError for a label outside the family.
+    """
+    d, k, ghz = spec.d, ladder_k(spec), spec.kind is ProtocolKind.GHZ
+    joint = isinstance(label, JointLabel)
+    alphas, tail = (label.alphas, label.tail) if joint else ((), label)
+    # Labels hold no negatives, and their Fourier outcomes and ket digits are ints.
+    member = joint is (spec.kind in (ProtocolKind.BELL, ProtocolKind.HYBRID))
+    member = member and len(alphas) == k - 2 and max(alphas, default=0) < d
+    if isinstance(tail, ComplementLabel):
+        # Off the sector: the block's repeated digits, after GHZ's first qudit, differ.
+        digits, block = tail.digits, spec.m - k + 2
+        if member and len(digits) == block + 1 and max(digits) < d:
+            if len(set(digits[int(ghz) : block])) > 1:
+                return 0
+    elif isinstance(tail, GhzLabel if ghz else BellLabel):
+        phase = tail.k if ghz else tail.n
+        if member and all(q in range(d) for q in (tail.n, tail.m, phase)):
+            return int(tail.m * d + (phase + sum(alphas)) % d)
+    raise ValueError(
+        f"label {label} does not belong to a {spec.kind.value} measurement "
+        f"at d={spec.d}, m={spec.m}"
+    )
 
 
 @lru_cache(maxsize=200_000)
@@ -372,13 +389,7 @@ def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
     (shift, phase) pair share one immutable operator, so a register has at
     most d**2 distinct corrections.
     """
-    row = _label_rows(spec).get(label)
-    if row is None:
-        raise ValueError(
-            f"label {label} does not belong to a {spec.kind.value} measurement "
-            f"at d={spec.d}, m={spec.m}"
-        )
-    return _pair_correction(spec, int(_row_pairs(spec)[row]))
+    return _pair_correction(spec, _label_pair(spec, label))
 
 
 @lru_cache(maxsize=32)
@@ -471,7 +482,6 @@ def enumerate_outcomes(
     ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
-    pairs = _row_pairs(spec)
     live = spec.d ** ladder_k(spec)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
     live_pairs = np.flatnonzero(np.bincount(_live_pairs(spec)))
@@ -479,11 +489,12 @@ def enumerate_outcomes(
     finished = dict(zip(live_pairs.tolist(), _finish_pairs(cat, live_pairs, branched, bob_shape)))
     zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
     zero = (0.0, zero_state, zero_state, 0.0)
-    corrections = {pair: _pair_correction(spec, pair) for pair in set(pairs.tolist())}
     records = []
-    for row, (label, pair) in enumerate(zip(_label_rows(spec), pairs.tolist())):
+    for row, label in enumerate(_family_labels(spec)):
+        pair = _label_pair(spec, label)
         probability, pre, post, fidelity = finished[pair] if row < live else zero
-        records.append(OutcomeRecord(label, probability, pre, corrections[pair], post, fidelity))
+        correction = _pair_correction(spec, pair)
+        records.append(OutcomeRecord(label, probability, pre, correction, post, fidelity))
     return records
 
 
@@ -508,7 +519,8 @@ def run_protocol(
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
     probability, pre, post, fidelity = _finish_pairs(cat, pair, branched, bob_shape)[0]
     correction = _pair_correction(spec, int(pair[0]))
-    return OutcomeRecord(_live_labels(spec)[position], probability, pre, correction, post, fidelity)
+    label = _live_label(spec, position)
+    return OutcomeRecord(label, probability, pre, correction, post, fidelity)
 
 
 def _sector_images(spec: ProtocolSpec, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

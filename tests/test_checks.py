@@ -26,7 +26,6 @@ from catport.protocols import (
     ProtocolKind,
     ProtocolSpec,
     _pair_correction,
-    _row_pairs,
     _sector_images,
     compose_joint_state,
     enumerate_outcomes,
@@ -139,6 +138,12 @@ class TestMutations:
         assert "basis_orthonormality" in failures(3, 2, 3)
 
 
+def row_pairs(spec):
+    """Each outcome row's pair, from the label rule on the family's labels."""
+    labels = protocols._family_labels(spec)
+    return np.array([protocols._label_pair(spec, label) for label in labels])
+
+
 def dense_basis_error(d, m):
     """The dense certificate: every family's full Gram and completeness."""
     families = [(BasisFamily.BELL, None), (BasisFamily.PI, None), (BasisFamily.GHZ, None),
@@ -156,11 +161,11 @@ def dense_equivalence(cat, d, m):
     """Collective against single-particle protocol from the outcome records."""
     many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
     single_spec = ProtocolSpec(ProtocolKind.BELL, d, 1)
-    many_pairs = _row_pairs(many_spec)
+    many_pairs = row_pairs(many_spec)
     many = dict(zip(many_pairs[: d ** ladder_k(many_spec)].tolist(), enumerate_outcomes(cat, many_spec)))
     singles = enumerate_outcomes(CatState(d, 1, cat.coeffs), single_spec)
     error = 0.0
-    for pair, record in zip(_row_pairs(single_spec).tolist(), singles):
+    for pair, record in zip(row_pairs(single_spec).tolist(), singles):
         partner = many.pop(pair, None)
         if partner is None:
             return 1.0
@@ -180,7 +185,7 @@ def dense_checks(d, m, seeds):
     specs = protocol_specs(d, m)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
     unitarity = fidelity = selection = uniformity = phase = completeness = 0.0
-    pairs = set().union(*(_row_pairs(spec).tolist() for spec in specs))
+    pairs = set().union(*(row_pairs(spec).tolist() for spec in specs))
     eye = np.eye(d ** m)
     for pair in sorted(pairs):
         correction = _pair_correction(specs[0], pair)
@@ -262,13 +267,13 @@ def per_cat_spec_loop(d, m, seeds):
     at a time. Returns {check name: max_error} for the five checks it feeds."""
     specs = protocol_specs(d, m)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
-    counts = sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs)
+    counts = sum(np.bincount(row_pairs(spec), minlength=d * d) for spec in specs)
     images = _sector_images(specs[0], np.flatnonzero(counts))
     sum_err = fidelity_err = selection_err = uniformity_err = phase_err = 0.0
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
         live = d ** ladder_k(spec)
-        live_pairs = _row_pairs(spec)[:live]
+        live_pairs = row_pairs(spec)[:live]
         used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
         missing_shifts = d - np.unique(used // d).size
         base = None
@@ -373,7 +378,7 @@ def per_cat_equivalence(cat, d, m):
     sides = []
     for side, spec in ((cat, many_spec), single):
         live = d ** ladder_k(spec)
-        used = np.bincount(_row_pairs(spec)[:live], minlength=d * d) > 0
+        used = np.bincount(row_pairs(spec)[:live], minlength=d * d) > 0
         pairs = np.flatnonzero(used)
         branched = protocols._pair_branches(side.coeffs, live)
         folded, leaked, _ = protocols._fold_corrections(
@@ -393,7 +398,7 @@ def per_cat_equivalence(cat, d, m):
 def test_stacked_certificates_match_the_per_cat_and_per_operator_ones(d, m, seeds):
     results = {r.name: r.max_error for r in run_all_checks(d, m, seeds)}
     specs = protocol_specs(d, m)
-    pairs = np.flatnonzero(sum(np.bincount(_row_pairs(spec), minlength=d * d) for spec in specs))
+    pairs = np.flatnonzero(sum(np.bincount(row_pairs(spec), minlength=d * d) for spec in specs))
     unitarity = max(per_operator_unitarity_error(_pair_correction(specs[0], p)) for p in pairs)
     assert results["correction_unitarity"] == unitarity
     for new, old in zip(_sector_images(specs[0], pairs), per_pair_sector_images(specs[0], pairs)):

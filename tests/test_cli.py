@@ -296,6 +296,55 @@ class TestExitCodes:
         assert code == 1
         assert "norm" in err
 
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    @pytest.mark.parametrize("d, m", [(-3, 2), (0, 2), (1, 2), (2, 0), (2, -1)])
+    def test_out_of_range_dimensions_name_the_bound(self, capsys, command, d, m):
+        # Rejected before the d random coefficients are drawn.
+        code, out, err = run_cli(
+            capsys, [command, "--protocol", "bell", "--d", str(d), "--m", str(m)]
+        )
+        assert code == 1
+        assert out == ""
+        if d < 2:
+            assert err == f"error: local dimension must be >= 2, got {d}\n"
+        else:
+            assert err == f"error: need at least one particle, got {m}\n"
+
+    def test_boolean_coefficients_in_cat_file(self, tmp_path, capsys):
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps({"d": 2, "m": 2, "coeffs": [[True, False], [False, False]]}))
+        for command in ("run", "enumerate"):
+            code, out, err = run_cli(
+                capsys, [command, "--protocol", "bell", "--coeffs-file", str(path)]
+            )
+            assert code == 1, command
+            assert out == ""
+            assert err.startswith("error:") and str(path) in err
+
+    def test_huge_integer_coefficient_in_cat_file(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"d": 2, "m": 2, "coeffs": [[1' + "0" * 400 + ', 0], [0, 0]]}')
+        code, out, err = run_cli(
+            capsys, ["run", "--protocol", "bell", "--coeffs-file", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+
+    def test_overflowing_norm_prints_one_error_line(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": 2, "m": 2, "coeffs": [[1e308, 1e308], [0, 0]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "catport", "run", "--protocol", "bell",
+             "--coeffs-file", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: cat-state coefficients have norm inf"]
+
     @pytest.mark.parametrize("field", ["d", "m"])
     @pytest.mark.parametrize("bad", [2.9, True, "3"])
     def test_non_integer_dimension_in_cat_file(self, tmp_path, capsys, field, bad):

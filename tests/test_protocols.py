@@ -195,6 +195,18 @@ class TestCorrections:
             with pytest.raises(ValueError):
                 correction_for(spec, label)
 
+    def test_out_of_range_fourier_outcome_rejected(self):
+        bell = ProtocolSpec(ProtocolKind.BELL, 3, 2)
+        hybrid = ProtocolSpec(ProtocolKind.HYBRID, 3, 3, hybrid_k=3)
+        assert not correction_for(bell, JointLabel((2,), BellLabel(0, 0))).is_identity()
+        assert correction_for(hybrid, JointLabel((2,), ComplementLabel((0, 1, 0)))).is_identity()
+        for spec, label in [
+            (bell, JointLabel((3,), BellLabel(0, 0))),
+            (hybrid, JointLabel((3,), ComplementLabel((0, 1, 0)))),
+        ]:
+            with pytest.raises(ValueError):
+                correction_for(spec, label)
+
     def test_all_pairs_shared_across_calls_at_large_d(self):
         # d = 17 has 289 corrections, more than a small global cache holds.
         spec = ProtocolSpec(ProtocolKind.BELL, 17, 1)
@@ -570,12 +582,16 @@ class TestRowIndex:
     def test_pair_column_follows_the_label_rule(self, d, m):
         for spec in all_specs(d, m):
             labels = protocols._family_labels(spec)
-            pairs, live_labels = protocols._row_pairs(spec), protocols._live_labels(spec)
+            pairs = [protocols._label_pair(spec, label) for label in labels]
             expected, occurs = zip(*(reference_pair(d, label) for label in labels))
-            assert pairs.tolist() == list(expected), spec
+            assert pairs == list(expected), spec
             live = d ** ladder_k(spec)
             assert list(occurs) == [row < live for row in range(len(labels))], spec
-            assert list(live_labels) == labels[:live], spec
+            assert protocols._live_pairs(spec).tolist() == list(expected[:live]), spec
+            live_labels = [protocols._live_label(spec, row) for row in range(live)]
+            assert live_labels == labels[:live], spec
+            for label, pair in zip(labels, pairs):
+                assert correction_for(spec, label) is protocols._pair_correction(spec, pair)
 
     @pytest.mark.parametrize("d,m", ORACLE_GRID)
     def test_live_pair_column_gives_the_recorded_probabilities(self, d, m):
@@ -647,3 +663,33 @@ class TestRowIndex:
             tracemalloc.stop()
         assert abs(record.fidelity - 1.0) < 1e-10
         assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("kind, k", [(ProtocolKind.BELL, None), (ProtocolKind.HYBRID, 12)])
+    def test_cold_fourier_ladder_2_15_run_memory(self, kind, k):
+        # run_protocol unranks the sampled row's label; it lists no labels
+        # and no pair beyond the d**k live rows.
+        cat = random_cat_state(2, 15, 0)
+        spec = ProtocolSpec(kind, 2, 15, hybrid_k=k)
+        clear_protocol_caches()
+        tracemalloc.start()
+        try:
+            record = run_protocol(cat, spec, 0, max_dim=2 ** 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(record.fidelity - 1.0) < 1e-10
+        assert peak < 8 * 2 ** 20
+
+    def test_cold_correction_for_builds_no_family_labels(self, monkeypatch):
+        def no_labels(*args, **kwargs):
+            raise AssertionError("correction_for built a family label list")
+
+        spec = ProtocolSpec(ProtocolKind.BARRED, 2, 15)
+        clear_protocol_caches()
+        for name in ("barred_labels", "ghz_labels", "joint_labels", "complement_labels"):
+            monkeypatch.setattr(bases, name, no_labels)
+        assert correction_for(spec, ComplementLabel((0, 1) + (0,) * 14)).is_identity()
+        bell = correction_for(spec, BellLabel(1, 1))
+        assert bell is protocols._pair_correction(spec, reference_pair(2, BellLabel(1, 1))[0])
+        with pytest.raises(ValueError):
+            correction_for(spec, ComplementLabel((1,) * 15 + (0,)))  # a sector ket
