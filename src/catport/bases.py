@@ -2,12 +2,14 @@
 
 Four building blocks: generalized Bell pairs, the single-qudit Fourier
 ("pi") basis, three-slot GHZ states, and barred variants in which one slot
-is a block of repeated digits. Families that only span a digit-string
-sector (barred, block-GHZ) are completed to a full orthonormal basis by
-appending the computational kets outside that sector; those kets are
-already orthonormal and orthogonal to the sector, so no re-orthogonalization
-step is needed. The label functions fix each family's order, and every
-family is built label-first by mapping its labels to their states.
+is a block of repeated digits. Each of their states is d terms
+exp(2*pi*i*e/d)/sqrt(d) on d distinct kets: :func:`sector_terms` owns that
+form, and each state builder scatters it into a dense vector. Families that
+only span a digit-string sector (barred, block-GHZ) are completed to a full
+orthonormal basis by the kets of :func:`complement_indices`, which are
+orthonormal and orthogonal to the sector, so no re-orthogonalization step
+is needed. The label functions fix each family's order, and every family is
+built label-first by mapping its labels to their states.
 
 All phases follow the single convention exp(+2*pi*i*x/d); conjugations
 enter only through inner products.
@@ -29,15 +31,10 @@ from .core import (
     RangeError,
     RegisterShape,
     basis_ket,
+    cat_sector_indices,
     tensor,
     unit_phase,
 )
-
-
-def _check_component(value: int, d: int, name: str) -> int:
-    if not 0 <= value < d:
-        raise RangeError(f"{name}={value} outside [0, {d})")
-    return value
 
 
 @dataclass(frozen=True)
@@ -194,13 +191,7 @@ def bell_basis_state(d: int, label: BellLabel) -> PureState:
 
 def pi_basis_state(d: int, label: PiLabel) -> PureState:
     """Fourier basis state with amplitude exp(2*pi*i*alpha*beta/d)/sqrt(d) on |beta>."""
-    alpha = _check_component(label.alpha, d, "alpha")
-    shape = RegisterShape(d, 1)
-    amps = np.array(
-        [unit_phase(alpha * beta, d) / math.sqrt(d) for beta in range(d)],
-        dtype=np.complex128,
-    )
-    return PureState(shape, amps)
+    return _term_state(d, 0, alpha=label.alpha)
 
 
 def ghz_basis_state(d: int, label: GhzLabel) -> PureState:
@@ -208,16 +199,40 @@ def ghz_basis_state(d: int, label: GhzLabel) -> PureState:
     return block_ghz_basis_state(d, 2, label)
 
 
-def _d_term_state(d: int, num_qudits: int, terms) -> PureState:
-    """Amplitude exp(2*pi*i*e/d)/sqrt(d) on each digit string of the d
-    ``(digits, e)`` pairs in ``terms``, which must be distinct in-range kets."""
-    shape = RegisterShape(d, num_qudits)
+def sector_terms(d: int, block: int, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The kets and amplitudes exp(2*pi*i*e/d)/sqrt(d) of the d terms of each
+    labelled state over ``block + 1`` qudits, one row per label, in order.
+
+    A label is a row of components in [0, d): (alpha,) for the Fourier state
+    on one qudit (block 0), (n, m) for the barred Bell state and (n, m, k)
+    for the block-GHZ state. A row's kets are distinct. Amplitudes come from
+    a table of the scalar ``unit_phase(e, d) / math.sqrt(d)``, bit for bit.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    j = np.arange(d)
+    if labels.shape[1] == 1:
+        kets, exponents = np.tile(j, (labels.shape[0], 1)), labels * j
+    elif labels.shape[1] == 2:
+        n, shift = labels.T[..., None]
+        # (d**(b+1) - d) // (d - 1) is the index of b ones followed by a zero.
+        kets, exponents = j * ((d ** (block + 1) - d) // (d - 1)) + (j + shift) % d, j * n
+    else:
+        n, shift, k = labels.T[..., None]
+        kets = j * d**block + (j + n) % d * ((d**block - d) // (d - 1)) + (j + shift) % d
+        exponents = j * (n + k)
+    table = np.array([unit_phase(x, d) / math.sqrt(d) for x in range(d)], dtype=np.complex128)
+    return kets, table[exponents % d]
+
+
+def _term_state(d: int, block: int, **components: int) -> PureState:
+    """The dense state of one label's named components, in sector_terms' order."""
+    for name, value in components.items():
+        if not 0 <= value < d:
+            raise RangeError(f"{name}={value} outside [0, {d})")
+    shape = RegisterShape(d, block + 1)
+    kets, amplitudes = sector_terms(d, block, [list(components.values())])
     amps = np.zeros(shape.total, dtype=np.complex128)
-    for digits, exponent in terms:
-        index = 0
-        for q in digits:
-            index = index * d + q
-        amps[index] = unit_phase(exponent, d) / math.sqrt(d)
+    amps[kets[0]] = amplitudes[0]
     return PureState(shape, amps)
 
 
@@ -230,13 +245,7 @@ def block_ghz_basis_state(d: int, m: int, label: GhzLabel) -> PureState:
     """
     if m < 2:
         raise ValueError(f"block GHZ states need m >= 2, got {m}")
-    n = _check_component(label.n, d, "n")
-    m_shift = _check_component(label.m, d, "m")
-    k = _check_component(label.k, d, "k")
-    return _d_term_state(d, m + 1, (
-        ((j,) + ((j + n) % d,) * (m - 1) + ((j + m_shift) % d,), j * (n + k))
-        for j in range(d)
-    ))
+    return _term_state(d, m, n=label.n, m=label.m, k=label.k)
 
 
 def barred_bell_basis_state(d: int, m: int, label: BellLabel) -> PureState:
@@ -248,9 +257,7 @@ def barred_bell_basis_state(d: int, m: int, label: BellLabel) -> PureState:
     """
     if m < 1:
         raise ValueError(f"barred Bell states need m >= 1, got {m}")
-    n = _check_component(label.n, d, "n")
-    m_shift = _check_component(label.m, d, "m")
-    return _d_term_state(d, m + 1, (((j,) * m + ((j + m_shift) % d,), j * n) for j in range(d)))
+    return _term_state(d, m, n=label.n, m=label.m)
 
 
 class BasisFamily(Enum):
@@ -262,18 +269,25 @@ class BasisFamily(Enum):
     BARRED = "barred"
 
 
-def complement_labels(d: int, num_qudits: int, block: slice) -> list[BasisLabel]:
-    """Kets whose ``block`` digits are not all equal, in lex order.
+def complement_indices(d: int, num_qudits: int, block: slice) -> np.ndarray:
+    """Indices of the kets whose ``block`` digits are not all equal, in lex order.
 
     These are exactly the kets outside the repeated-digit sector, so they
     are orthonormal and orthogonal to every sector state; appending them is
     the (here trivial) Gram-Schmidt completion.
     """
-    return [
-        ComplementLabel(digits)
-        for digits in product(range(d), repeat=num_qudits)
-        if len(set(digits[block])) > 1
-    ]
+    # The block's constant strings on its own axes, broadcast over the others.
+    positions = range(num_qudits)[block]
+    equal = np.zeros(d ** len(positions), dtype=bool)
+    equal[cat_sector_indices(d, len(positions))] = True
+    axes = [d if q in positions else 1 for q in range(num_qudits)]
+    return np.flatnonzero(np.broadcast_to(~equal.reshape(axes), (d,) * num_qudits))
+
+
+def complement_labels(d: int, num_qudits: int, block: slice) -> list[BasisLabel]:
+    """The kets of :func:`complement_indices`, as labels."""
+    kets = complement_indices(d, num_qudits, block)[:, None] // d ** np.arange(num_qudits)[::-1]
+    return [ComplementLabel(digits) for digits in (kets % d).tolist()]
 
 
 def barred_labels(d: int, m: int) -> list[BasisLabel]:

@@ -7,11 +7,12 @@ report rather than raise, so one broken invariant never hides another.
 The suites read the same structure the engine uses. The joint state has
 d**2 nonzero amplitudes, every outcome reaches the receiver through one of
 d**2 (shift, phase) pairs, each undone by one monomial correction, and every
-measured family is built from a d x d Fourier slot and sector states with d
-nonzero amplitudes each. So no joint register, family matrix, outcome
-record or correction matrix is built: each check works on d-vectors per
-pair, on the pair column of each protocol's live outcome rows, and on the
-corrections' permutations and phase factors.
+measured family is built from states of d terms and complement kets. So no
+joint register, family matrix, dense state, label, outcome record or
+correction matrix is built: each check works on d-vectors per pair, on the
+term tables of ``bases.sector_terms`` and the index arrays of
+``bases.complement_indices``, on the pair column of each protocol's live
+outcome rows, and on the corrections' permutations and phase factors.
 
 The seeded cats are stacked one row each, in blocks of a fixed number of
 branch amplitudes, so memory is flat in the seed count; the first block also
@@ -26,13 +27,12 @@ so the results do not depend on the blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bases
-from .bases import BasisFamily, BasisLabel, BellLabel, ComplementLabel
 from .core import DEFAULT_MAX_DIM, random_cat_state
 from .protocols import (
     MonomialOperator,
@@ -55,56 +55,44 @@ class CheckResult:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "max_error": self.max_error,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _result(name: str, max_error: float, threshold: float) -> CheckResult:
     return CheckResult(name, float(max_error), threshold, bool(max_error < threshold))
 
 
-def _sector_family_error(d: int, block: int, labels: list[BasisLabel]) -> float:
-    """Worst Gram or completeness error of the barred-Bell or block-GHZ family
-    of ``labels`` over ``block + 1`` qudits, without building its matrix.
+def _sector_family_error(d: int, block: int, width: int) -> float:
+    """Worst Gram or completeness error of the family over ``block + 1``
+    qudits of every label with ``width`` components, in lex order, as
+    :func:`bases.sector_terms` reads them, then the block's complement kets.
 
-    Each Bell or GHZ label's state has d nonzero amplitudes. States with the
-    same support form a group. When the groups' supports are disjoint, the
-    family's Gram and completeness matrices are block diagonal, exactly, and
-    each block is one group's small dense product. Complement labels stand
-    for kets, whose entries are exact, and must name exactly the kets that no
-    group covers; otherwise the family is not certified and the error is 1.
+    Each state has d terms; states on the same kets form a group. When the
+    groups' kets and the complement kets partition the register, the Gram
+    and completeness matrices are block diagonal, exactly, and each block is
+    one group's small dense product, states in label order and kets in index
+    order. Otherwise the family is not certified and the error is 1.
     """
-    groups: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
-    complement = []
-    for label in labels:
-        if isinstance(label, ComplementLabel):
-            complement.append(label.digits)
-            continue
-        if isinstance(label, BellLabel):
-            amps = bases.barred_bell_basis_state(d, block, label).amps
-        else:
-            amps = bases.block_ghz_basis_state(d, block, label).amps
-        support = np.flatnonzero(amps)
-        groups.setdefault(support.tobytes(), (support, []))[1].append(amps[support])
-    covered = [support for support, _ in groups.values()]
-    if complement:
-        covered.append(np.array(complement) @ d ** np.arange(block, -1, -1))
-    if not np.array_equal(np.sort(np.concatenate(covered)), np.arange(d ** (block + 1))):
+    kets, amplitudes = bases.sector_terms(d, block, np.indices((d,) * width).reshape(width, -1).T)
+    # Each state's terms in ket order, as its dense vector lists them.
+    order = np.argsort(kets, axis=1)
+    kets = np.take_along_axis(kets, order, axis=1)
+    amplitudes = np.take_along_axis(amplitudes, order, axis=1)
+    del order  # the tables are d entries per label
+    # States group by their least ket; one there on other kets overlaps the
+    # group's support, which no partition allows.
+    group, sizes = np.unique(kets[:, 0], return_inverse=True, return_counts=True)[1:]
+    rows = np.argsort(group, kind="stable")
+    supports = kets[rows[np.cumsum(sizes) - sizes]]
+    # A block-GHZ block leaves its first qudit out.
+    complement = bases.complement_indices(d, block + 1, slice(int(width == 3), block))
+    covered = np.sort(np.concatenate([supports.ravel(), complement]))
+    if not np.array_equal(covered, np.arange(d ** (block + 1))) or (kets != supports[group]).any():
         return 1.0
     error = 0.0
-    for _, rows in groups.values():
-        states = np.array(rows)
-        gram = states.conj() @ states.T
-        completeness = states.T @ states.conj()
-        error = max(
-            error,
-            float(np.abs(gram - np.eye(gram.shape[0])).max()),
-            float(np.abs(completeness - np.eye(completeness.shape[0])).max()),
-        )
+    for states in np.split(amplitudes[rows], np.cumsum(sizes)[:-1]):
+        for product in (states.conj() @ states.T, states.T @ states.conj()):
+            error = max(error, float(np.abs(product - np.eye(len(product))).max()))
     return error
 
 
@@ -120,12 +108,13 @@ def _basis_error(d: int, m: int) -> float:
     m >= 2, block GHZ(m). They depend on nothing else, so a process
     certifies each (d, m) once.
 
-    The d x d Fourier slot is certified dense, the sector families by
-    :func:`_sector_family_error`. The Bell protocol's family is m - 1
-    Fourier slots and a Bell pair. For exact products of two families, Gram
-    and completeness are the Kronecker products of the factors', and
-    ``||G_A (x) G_B - I||_max <= e_A + e_B + e_A * e_B`` when each factor is
-    within e of the identity, so the bound is applied once per slot.
+    :func:`_sector_family_error` certifies each family, the d x d Fourier
+    slot too: its d states form one group on one qudit. The Bell protocol's
+    family is m - 1 Fourier slots and a Bell pair. For exact products of two
+    families, Gram and completeness are the Kronecker products of the
+    factors', and ``||G_A (x) G_B - I||_max <= e_A + e_B + e_A * e_B`` when
+    each factor is within e of the identity, so the bound is applied once
+    per slot.
 
     The states themselves are not exact products: ``tensor`` rounds each
     product amplitude, a relative error of at most sqrt(2) * gamma_2 (about
@@ -134,21 +123,13 @@ def _basis_error(d: int, m: int) -> float:
     Cauchy-Schwarz, so that rounding moves it by at most twice as much, and
     ``_KRON_ROUNDING`` is added once per slot to cover it.
     """
-    fourier = bases.verify_orthonormal_complete(bases.build_basis(BasisFamily.PI, d))
-    fourier_error = max(fourier.max_gram_error, fourier.max_completeness_error)
-    bell_error = _sector_family_error(d, 1, bases.barred_labels(d, 1))
-    joint_error = bell_error
+    fourier_error = _sector_family_error(d, 0, 1)
+    joint_error = _sector_family_error(d, 1, 2)  # the Bell pair, then one slot at a time
     for _ in range(m - 1):
         joint_error += fourier_error + fourier_error * joint_error + _KRON_ROUNDING
-    errors = [
-        fourier_error,
-        joint_error,
-        _sector_family_error(d, 2, bases.ghz_labels(d, 2)),
-        _sector_family_error(d, m, bases.barred_labels(d, m)),
-    ]
-    if m > 2:
-        errors.append(_sector_family_error(d, m, bases.ghz_labels(d, m)))
-    return max(errors)
+    # (block, width): GHZ, barred(m) and block GHZ(m), which is GHZ at m = 2.
+    families = [(2, 3), (m, 2)] + ([(m, 3)] if m > 2 else [])
+    return max(fourier_error, joint_error, *(_sector_family_error(d, *f) for f in families))
 
 
 def _unitarity_error(d: int, corrections: list[MonomialOperator]) -> float:

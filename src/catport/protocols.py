@@ -142,7 +142,7 @@ class MonomialOperator:
         self.num_qudits = num_qudits
         self.perm = perm
         self.phase_exp = phase_exp
-        self.factors = np.exp(2j * np.pi * (phase_exp / d))
+        self.factors = np.exp(2j * np.pi * (np.arange(d) / d))[phase_exp]
         self.factors.setflags(write=False)
 
     @classmethod
@@ -311,24 +311,27 @@ def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
     return _family_cached(spec.kind, spec.d, spec.m, spec.hybrid_k)
 
 
-@lru_cache(maxsize=128)
 def _live_pairs(spec: ProtocolSpec) -> np.ndarray:
     """Each pair ``shift * d + phase`` of the d**k outcome rows that can occur,
     the first ones whatever the cat state. Indexing the pairs' probabilities
     with it gives the outcome probability column; every later row is zero by
-    structure.
+    structure. The protocols other than GHZ at one ladder position share it.
 
     GHZ row s*d + p is ghz(0,s,p), with pair s*d + p. Any other row is
     (n*d + s) * d**(k-2) plus the Fourier outcomes in mixed radix, with shift
     s and phase n plus their digit sum.
     """
-    d = spec.d
-    if spec.kind is ProtocolKind.GHZ:
+    return _ladder_pairs(spec.d, ladder_k(spec), spec.kind is ProtocolKind.GHZ)
+
+
+@lru_cache(maxsize=128)
+def _ladder_pairs(d: int, k: int, ghz: bool) -> np.ndarray:
+    if ghz:
         pairs = np.arange(d * d)
     else:
         # The Fourier digit sums in mixed-radix order, tensored one slot at a time.
         digit_sums = np.zeros(1, dtype=np.int64)
-        for _ in range(ladder_k(spec) - 2):
+        for _ in range(k - 2):
             digit_sums = (digit_sums[:, None] + np.arange(d)).reshape(-1)
         phase, shift = np.divmod(np.arange(d * d), d)
         pairs = (shift[:, None] * d + (phase[:, None] + digit_sums) % d).reshape(-1)
@@ -482,16 +485,18 @@ def enumerate_outcomes(
     ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
-    live = spec.d ** ladder_k(spec)
-    bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    live_pairs = np.flatnonzero(np.bincount(_live_pairs(spec)))
+    d, pairs = spec.d, _live_pairs(spec)
+    live, used = pairs.size, np.flatnonzero(np.bincount(pairs))
+    bob_shape = RegisterShape(d, spec.m, max_dim=max_dim)
     branched = _pair_branches(cat.coeffs, live)
-    finished = dict(zip(live_pairs.tolist(), _finish_pairs(cat, live_pairs, branched, bob_shape)))
+    finished = dict(zip(used.tolist(), _finish_pairs(cat, used, branched, bob_shape)))
     zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
     zero = (0.0, zero_state, zero_state, 0.0)
-    records = []
+    # Past the live rows come GHZ labels with n != 0, up to row d**3, then complement kets.
+    last_ghz = d**3 if spec.kind is ProtocolKind.GHZ else 0
+    records, pairs = [], pairs.tolist()
     for row, label in enumerate(_family_labels(spec)):
-        pair = _label_pair(spec, label)
+        pair = pairs[row] if row < live else row % (d * d) if row < last_ghz else 0
         probability, pre, post, fidelity = finished[pair] if row < live else zero
         correction = _pair_correction(spec, pair)
         records.append(OutcomeRecord(label, probability, pre, correction, post, fidelity))

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from test_sector_oracle import ORACLE_GRID
 
 from catport import (
     BasisFamily,
@@ -23,7 +24,14 @@ from catport import (
     monomial_tensor,
     pi_basis_state,
     shift_operator,
+    unit_phase,
     verify_orthonormal_complete,
+)
+from catport.bases import (
+    block_ghz_basis_state,
+    complement_indices,
+    complement_labels,
+    sector_terms,
 )
 from catport.protocols import MonomialOperator
 
@@ -307,3 +315,84 @@ class TestLabelOrdering:
         assert str(BellLabel(1, 2)) == "bell(1,2)"
         assert str(JointLabel((0, 1), BellLabel(1, 0))) == "pi(0)*pi(1)*bell(1,0)"
         assert str(ComplementLabel((0, 1, 0))) == "ket(0,1,0)"
+
+
+def reference_term_state(d, num_qudits, terms):
+    """The dense builder before the term tables: amplitude
+    unit_phase(e, d) / sqrt(d) on each digit string of the ``(digits, e)``
+    pairs in ``terms``, indexed digit by digit."""
+    amps = np.zeros(d ** num_qudits, dtype=np.complex128)
+    for digits, exponent in terms:
+        index = 0
+        for q in digits:
+            index = index * d + q
+        amps[index] = unit_phase(exponent, d) / math.sqrt(d)
+    return amps
+
+
+def reference_terms(d, block, components):
+    """The ``(digits, e)`` terms of one label's components, written out."""
+    if len(components) == 1:
+        (alpha,) = components
+        return [((beta,), alpha * beta) for beta in range(d)]
+    if len(components) == 2:
+        n, s = components
+        return [((j,) * block + ((j + s) % d,), j * n) for j in range(d)]
+    n, s, k = components
+    return [((j,) + ((j + n) % d,) * (block - 1) + ((j + s) % d,), j * (n + k)) for j in range(d)]
+
+
+def densified(d, block, labels):
+    """Each row of ``sector_terms`` scattered into a zero vector."""
+    kets, amplitudes = sector_terms(d, block, labels)
+    amps = np.zeros((len(labels), d ** (block + 1)), dtype=np.complex128)
+    np.put_along_axis(amps, kets, amplitudes, axis=1)
+    return amps
+
+
+# (d, block, width) at the oracle grid's block sizes: Fourier (block 0),
+# barred Bell at blocks 1 and m, block GHZ at blocks 2 and m.
+TERM_POINTS = sorted(
+    {(d, 0, 1) for d, _ in ORACLE_GRID}
+    | {(d, block, 2) for d, m in ORACLE_GRID for block in (1, m)}
+    | {(d, block, 3) for d, m in ORACLE_GRID for block in (2, m)}
+)
+
+
+class TestSectorTerms:
+    """The term tables against the dense builder they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d, block, width", TERM_POINTS)
+    def test_densified_terms_match_the_reference_loop(self, d, block, width):
+        labels = list(product(range(d), repeat=width))
+        reference = np.array(
+            [reference_term_state(d, block + 1, reference_terms(d, block, c)) for c in labels]
+        )
+        assert densified(d, block, labels).tobytes() == reference.tobytes()
+        build = {1: lambda c: pi_basis_state(d, PiLabel(*c)),
+                 2: lambda c: barred_bell_basis_state(d, block, BellLabel(*c)),
+                 3: lambda c: block_ghz_basis_state(d, block, GhzLabel(*c))}[width]
+        built = np.array([build(c).amps for c in labels])
+        assert built.tobytes() == reference.tobytes()
+
+    def test_amplitudes_are_the_scalar_phase_table(self):
+        # numpy's array exp and complex division differ in bits from the
+        # scalar ones at some d; the table must carry the scalar bits.
+        for d in range(2, 60):
+            _, amplitudes = sector_terms(d, 0, [[1]])
+            scalar = [unit_phase(beta, d) / math.sqrt(d) for beta in range(d)]
+            assert amplitudes[0].tobytes() == np.array(scalar).tobytes(), d
+
+    @pytest.mark.parametrize(
+        "d, num_qudits",
+        [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (5, 3), (2, 5), (3, 4), (4, 4), (2, 7), (3, 6)],
+    )
+    def test_complement_indices_match_the_product_filter(self, d, num_qudits):
+        blocks = [slice(0, num_qudits - 1), slice(1, num_qudits - 1), slice(0, num_qudits),
+                  slice(1, None), slice(0, 0), slice(None, None, 2), slice(None, None, -1)]
+        for block in blocks:
+            digit_strings = list(product(range(d), repeat=num_qudits))
+            expected = [i for i, q in enumerate(digit_strings) if len(set(q[block])) > 1]
+            assert complement_indices(d, num_qudits, block).tolist() == expected, block
+            labels = [ComplementLabel(digit_strings[i]) for i in expected]
+            assert complement_labels(d, num_qudits, block) == labels, block

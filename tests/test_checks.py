@@ -88,17 +88,37 @@ class TestMutations:
         assert failures(3, 2, 3) & {"perfect_teleportation", "barred_equivalence"}
 
     def test_corrupted_barred_bell_amplitude(self, monkeypatch, fresh_basis_certificate):
-        build = bases.barred_bell_basis_state
+        build = bases.sector_terms
 
-        def corrupted(d, m, label):
-            state = build(d, m, label)
-            if label != BellLabel(0, 0):
-                return state
-            amps = state.amps.copy()
-            amps[np.flatnonzero(amps)[0]] *= -1
-            return PureState(state.shape, amps)
+        def corrupted(d, block, labels):
+            kets, amplitudes = build(d, block, labels)
+            if np.shape(labels)[1] == 2:  # barred Bell: flip one sign of bell(0,0)
+                amplitudes[(np.asarray(labels) == 0).all(axis=1), 0] *= -1
+            return kets, amplitudes
 
-        monkeypatch.setattr(bases, "barred_bell_basis_state", corrupted)
+        monkeypatch.setattr(bases, "sector_terms", corrupted)
+        assert "basis_orthonormality" in failures(3, 2, 3)
+
+    # bell(0,0)'s term on |0..0> moves onto ket 1, (0..0, 1), on another
+    # Bell state's kets, or onto ket 3, at d = 3 the complement ket (0, 1, 0)
+    # of the two-digit block. bell(1,0)'s term on |1..1> moves one ket up,
+    # and its least ket, by which groups are found, stays.
+    @pytest.mark.parametrize(
+        "label, term, target", [((0, 0), 0, 1), ((0, 0), 0, 3), ((1, 0), 1, None)]
+    )
+    def test_barred_bell_term_on_a_wrong_ket(
+        self, monkeypatch, fresh_basis_certificate, label, term, target
+    ):
+        build = bases.sector_terms
+
+        def moved(d, block, labels):
+            kets, amplitudes = build(d, block, labels)
+            if np.shape(labels)[1] == 2:
+                row = (np.asarray(labels) == label).all(axis=1)
+                kets[row, term] = kets[row, term] + 1 if target is None else target
+            return kets, amplitudes
+
+        monkeypatch.setattr(bases, "sector_terms", moved)
         assert "basis_orthonormality" in failures(3, 2, 3)
 
     @pytest.mark.parametrize("broken", ["repeated_target", "factor_off_the_circle"])
@@ -125,17 +145,32 @@ class TestMutations:
         assert failures(3, 2, 3) == {"correction_unitarity"}
 
     @pytest.mark.parametrize("broken", ["drops_last_ket", "repeats_first_ket"])
-    def test_complement_labels_miss_the_off_support_kets(
+    def test_complement_indices_miss_the_off_support_kets(
         self, monkeypatch, fresh_basis_certificate, broken
     ):
-        build = bases.complement_labels
+        build = bases.complement_indices
 
         def miscounted(d, num_qudits, block):
-            labels = build(d, num_qudits, block)
-            return labels[:-1] if broken == "drops_last_ket" else labels + labels[:1]
+            kets = build(d, num_qudits, block)
+            return kets[:-1] if broken == "drops_last_ket" else np.append(kets, kets[:1])
 
-        monkeypatch.setattr(bases, "complement_labels", miscounted)
+        monkeypatch.setattr(bases, "complement_indices", miscounted)
         assert "basis_orthonormality" in failures(3, 2, 3)
+
+
+@pytest.mark.parametrize("d, m", [(2, 12), (3, 4)])
+def test_cold_basis_certificate_builds_no_label_or_dense_family(
+    monkeypatch, fresh_basis_certificate, d, m
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the basis certificate built a label or a dense state")
+
+    for name in ("ComplementLabel", "barred_labels", "ghz_labels", "complement_labels",
+                 "build_basis", "verify_orthonormal_complete", "pi_basis_state",
+                 "barred_bell_basis_state", "block_ghz_basis_state"):
+        monkeypatch.setattr(bases, name, forbidden)
+    assert checks._basis_error(d, m) < 1e-12
+    assert not {"BasisFamily", "BellLabel", "ComplementLabel"} & set(vars(checks))
 
 
 def row_pairs(spec):

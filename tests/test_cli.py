@@ -146,8 +146,10 @@ class TestVerify:
 
     def test_bases_certified_once_per_dimensions(self, monkeypatch):
         built = []
-        build = bases.build_basis
-        monkeypatch.setattr(bases, "build_basis", lambda *args: built.append(args) or build(*args))
+        build = bases.sector_terms
+        monkeypatch.setattr(
+            bases, "sector_terms", lambda *args: built.append(args) or build(*args)
+        )
         checks._basis_error.cache_clear()
         first = checks.run_all_checks(2, 2, 1)
         count = len(built)

@@ -571,14 +571,14 @@ def clear_protocol_caches():
             value.cache_clear()
 
 
+ROW_GRID = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 8)]
+
+
 class TestRowIndex:
     """Each outcome's pair follows from its row by arithmetic; the label
     rule above, applied to the family's labels, is the reference."""
 
-    @pytest.mark.parametrize(
-        "d,m",
-        [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 8)],
-    )
+    @pytest.mark.parametrize("d,m", ROW_GRID)
     def test_pair_column_follows_the_label_rule(self, d, m):
         for spec in all_specs(d, m):
             labels = protocols._family_labels(spec)
@@ -592,6 +592,17 @@ class TestRowIndex:
             assert live_labels == labels[:live], spec
             for label, pair in zip(labels, pairs):
                 assert correction_for(spec, label) is protocols._pair_correction(spec, pair)
+
+    @pytest.mark.parametrize("d,m", ROW_GRID)
+    def test_records_carry_the_label_rule_correction(self, d, m):
+        # enumerate_outcomes reads each row's pair off the row index; the
+        # label rule, which correction_for applies, must agree on every row.
+        cat = random_cat_state(d, m, 4)
+        for spec in all_specs(d, m):
+            for record in enumerate_outcomes(cat, spec):
+                pair = protocols._label_pair(spec, record.label)
+                expected = protocols._pair_correction(spec, pair)
+                assert record.correction is expected, (spec, record.label)
 
     @pytest.mark.parametrize("d,m", ORACLE_GRID)
     def test_live_pair_column_gives_the_recorded_probabilities(self, d, m):
