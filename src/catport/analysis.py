@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DEFAULT_MAX_DIM, CatState, SizeCapError, random_cat_state
+from .core import DEFAULT_MAX_DIM, SizeCapError, random_cat_state
 from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
@@ -56,12 +56,11 @@ def _fits(d: int, m: int, max_dim: int) -> bool:
     return True
 
 
-def _cross_check(spec: ProtocolSpec, cat: CatState) -> None:
+def _cross_check(spec: ProtocolSpec, probabilities: np.ndarray) -> None:
     """Raise RuntimeError unless exactly ``nonzero_outcome_count(spec)`` of
-    the engine's outcome probabilities for ``cat`` exceed PROB_FLOOR."""
-    pairs = _live_pairs(spec)
-    column = _pair_branches(cat.coeffs, pairs.size)[1][pairs]
-    observed = int(np.count_nonzero(column > PROB_FLOOR))
+    the engine's outcome probabilities exceed PROB_FLOOR: those of the
+    protocol's live rows, read off the pairs' ``probabilities``."""
+    observed = int(np.count_nonzero(probabilities[_live_pairs(spec)] > PROB_FLOOR))
     expected = nonzero_outcome_count(spec)
     if observed != expected:
         raise RuntimeError(
@@ -87,7 +86,8 @@ def cost_of(
     RuntimeError.
     """
     if cross_check and _fits(spec.d, spec.m, max_dim):
-        _cross_check(spec, random_cat_state(spec.d, spec.m, seed))
+        cat = random_cat_state(spec.d, spec.m, seed)
+        _cross_check(spec, _pair_branches(cat.coeffs, _live_pairs(spec).size)[1])
     nonzero = nonzero_outcome_count(spec)
     return CostRow(
         spec=spec,
@@ -136,8 +136,10 @@ def cost_table(
                 if include_hybrids or spec.kind is not ProtocolKind.HYBRID
             ]
             if cross_check and _fits(d, m, max_dim):
-                cat = random_cat_state(d, m, 0)
-                for spec in specs:
-                    _cross_check(spec, cat)
+                # One branch pass over every spec's live count; each counts its own column.
+                lives = [_live_pairs(spec).size for spec in specs]
+                branched = _pair_branches(random_cat_state(d, m, 0).coeffs, lives)
+                for spec, probabilities in zip(specs, branched[1]):
+                    _cross_check(spec, probabilities)
             rows.extend(cost_of(spec, cross_check=False) for spec in specs)
     return rows

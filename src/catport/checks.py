@@ -15,13 +15,13 @@ term tables of ``bases.sector_terms`` and the index arrays of
 outcome rows, and on the corrections' permutations and phase factors.
 
 The seeded cats are stacked one row each, in blocks of a fixed number of
-branch amplitudes, so memory is flat in the seed count; the first block also
-carries the first cat with a global phase. Protocols at one ladder position
-share their live pairs, so each position's branches, probabilities and
-corrected fidelities are computed once per block, and so is the collective
-versus single-particle equivalence. The d**2 corrections are certified
-together on their stacked tables. Every row is rounded as it would be alone,
-so the results do not depend on the blocks.
+branch amplitudes over all ladder positions, so memory is flat in the seed
+count; the first block also carries the first cat with a global phase. The
+ladder positions, each shared by its protocols, are one more stacked axis:
+a block takes one branch pass and one fold, whose k = 2 slice is also the
+equivalence's collective side. The d**2 corrections are certified in chunks
+of stacked tables that the fold's sector images are read from. Every row is
+rounded as it would be alone, so the results do not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import bases
-from .core import DEFAULT_MAX_DIM, random_cat_state
+from .core import DEFAULT_MAX_DIM, cat_sector_indices, random_cat_state
 from .protocols import (
     MonomialOperator,
     _equivalence_deltas,
+    _equivalence_sides,
     _fold_corrections,
+    _image_rows,
     _live_pairs,
     _pair_branches,
     _pair_correction,
-    _sector_images,
     check_size,
     protocol_specs,
 )
@@ -72,28 +73,30 @@ def _sector_family_error(d: int, block: int, width: int) -> float:
     and completeness matrices are block diagonal, exactly, and each block is
     one group's small dense product, states in label order and kets in index
     order. Otherwise the family is not certified and the error is 1.
+    The labels go d**2 at a time, d**3 terms; a group split over two chunks
+    would put its kets in the partition twice, so it fails too.
     """
-    kets, amplitudes = bases.sector_terms(d, block, np.indices((d,) * width).reshape(width, -1).T)
-    # Each state's terms in ket order, as its dense vector lists them.
-    order = np.argsort(kets, axis=1)
-    kets = np.take_along_axis(kets, order, axis=1)
-    amplitudes = np.take_along_axis(amplitudes, order, axis=1)
-    del order  # the tables are d entries per label
-    # States group by their least ket; one there on other kets overlaps the
-    # group's support, which no partition allows.
-    group, sizes = np.unique(kets[:, 0], return_inverse=True, return_counts=True)[1:]
-    rows = np.argsort(group, kind="stable")
-    supports = kets[rows[np.cumsum(sizes) - sizes]]
     # A block-GHZ block leaves its first qudit out.
-    complement = bases.complement_indices(d, block + 1, slice(int(width == 3), block))
-    covered = np.sort(np.concatenate([supports.ravel(), complement]))
-    if not np.array_equal(covered, np.arange(d ** (block + 1))) or (kets != supports[group]).any():
-        return 1.0
+    supports = [bases.complement_indices(d, block + 1, slice(int(width == 3), block))]
     error = 0.0
-    for states in np.split(amplitudes[rows], np.cumsum(sizes)[:-1]):
-        for product in (states.conj() @ states.T, states.T @ states.conj()):
-            error = max(error, float(np.abs(product - np.eye(len(product))).max()))
-    return error
+    for chunk in np.split(np.indices((d,) * width).reshape(width, -1).T, d ** max(0, width - 2)):
+        kets, amplitudes = bases.sector_terms(d, block, chunk)
+        # Each state's terms in ket order, as its dense vector lists them.
+        order = np.argsort(kets, axis=1)
+        kets = np.take_along_axis(kets, order, axis=1)
+        amplitudes = np.take_along_axis(amplitudes, order, axis=1)
+        # States group by their least ket; one there on other kets overlaps the
+        # group's support, which no partition allows.
+        group, sizes = np.unique(kets[:, 0], return_inverse=True, return_counts=True)[1:]
+        rows = np.argsort(group, kind="stable")
+        supports.append(kets[rows[np.cumsum(sizes) - sizes]])
+        if (kets != supports[-1][group]).any():
+            return 1.0
+        for states in np.split(amplitudes[rows], np.cumsum(sizes)[:-1]):
+            for product in (states.conj() @ states.T, states.T @ states.conj()):
+                error = max(error, float(np.abs(product - np.eye(len(product))).max()))
+    covered = np.sort(np.concatenate([support.ravel() for support in supports]))
+    return error if np.array_equal(covered, np.arange(d ** (block + 1))) else 1.0
 
 
 # Twice sqrt(2) * gamma_2 with gamma_2 = 2u / (1 - 2u), u = 2**-53: the most
@@ -132,41 +135,28 @@ def _basis_error(d: int, m: int) -> float:
     return max(fourier_error, joint_error, *(_sector_family_error(d, *f) for f in families))
 
 
-def _unitarity_error(d: int, corrections: list[MonomialOperator]) -> float:
+def _unitarity_error(corrections: list[MonomialOperator], sector: np.ndarray):
     """The worst of ``corrections``, checked together on their stacked
-    tables: 1.0 unless a correction's digit map is a bijection that its
-    adjoint undoes exactly, and then the largest ||f|**2 - 1| over its phase
-    factors, because U^dagger U - I of a monomial operator is diagonal with
-    those entries."""
+    tables: 1.0 unless a correction's digit map is a bijection, and then the
+    largest ||f|**2 - 1| over its phase factors, because U^dagger U - I of a
+    monomial operator with a bijective digit map is diagonal with those
+    entries. Also the tables' columns at the ``sector`` kets, the targets and
+    factors there that :func:`protocols._image_rows` reads."""
     perms = np.array([correction.perm for correction in corrections])
-    identity = np.arange(perms.shape[1])
-    rows = np.arange(perms.shape[0])[:, None]
-    undone = (np.sort(perms, axis=1) == identity).all(axis=1)
-    # A row that is no bijection fails as it is; the identity in its place
-    # keeps the adjoint's scatter in range.
-    perms[~undone] = identity
-    # The adjoint sends perm[s] back to s with phase -phase_exp[s]; composed
-    # after the correction it must give the identity, exactly, mod d.
-    adjoint = np.empty_like(perms)
-    adjoint[rows, perms] = identity
-    undone &= (adjoint[rows, perms] == identity).all(axis=1)
-    phases = np.array([correction.phase_exp for correction in corrections])
-    adjoint[rows, perms] = -phases
-    composed = adjoint[rows, perms]
-    del adjoint, perms  # the tables are d**m entries per correction
-    composed += phases
-    undone &= ~(composed % d).any(axis=1)
-    del composed, phases
+    targets = perms[:, sector]
+    bijective = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(axis=1)
+    del perms  # the tables are d**m entries per correction
     factors = np.array([correction.factors for correction in corrections])
     deviations = factors.real ** 2
     deviations += factors.imag ** 2
     deviations -= 1.0
-    return float(np.where(undone, np.abs(deviations).max(axis=1), 1.0).max())
+    error = float(np.where(bijective, np.abs(deviations).max(axis=1), 1.0).max())
+    return error, targets, factors[:, sector]
 
 
-# Entries checked together: d**3 branch amplitudes per cat, d**m table
-# entries per correction. A block's arrays take a small multiple of 16 bytes
-# per entry, so memory is flat in the seed count and the register size.
+# Entries checked together: d**3 branch amplitudes per cat and ladder
+# position, d**m table entries per correction. A block's arrays take a small
+# multiple of 16 bytes per entry, so memory is flat in the seeds and register.
 CHECK_BLOCK_ENTRIES = 1 << 18
 
 
@@ -180,26 +170,44 @@ def run_all_checks(
     specs = protocol_specs(d, m)
     basis_err = _basis_error(d, m)
 
-    # Outcomes with the same (shift, phase) pair share one operator: check each once.
+    # Outcomes with the same (shift, phase) pair share one operator: check each
+    # once, on tables stacked a chunk at a time, and read its sector images there.
     counts = sum(np.bincount(_live_pairs(spec), minlength=d * d) for spec in specs)
     pairs = np.flatnonzero(counts)
-    corrections = [_pair_correction(specs[0], pair) for pair in pairs.tolist()]
+    sector = cat_sector_indices(d, m)
     chunk = max(1, CHECK_BLOCK_ENTRIES // d ** m)
-    unitarity_err = max(
-        _unitarity_error(d, corrections[start : start + chunk])
+    corrections = [_pair_correction(specs[0], pair) for pair in pairs.tolist()]
+    errors, targets, factors = zip(*(
+        _unitarity_error(corrections[start : start + chunk], sector)
         for start in range(0, len(corrections), chunk)
-    )
-    images = _sector_images(specs[0], pairs)
+    ))
+    unitarity_err = max(errors)
+    images = _image_rows(d, sector, pairs, np.concatenate(targets), np.concatenate(factors))
 
     # Specs with the same d**k live rows over the same pairs share branches,
-    # probabilities and fold: one per ladder position. Only the row order of
-    # the completeness sum is each spec's own, and equal columns sum alike.
+    # probabilities and fold: one ladder position each, all stacked on one
+    # axis. Only the row order of the completeness sum is each spec's own;
+    # specs that share a stored column sum it once, and equal columns alike.
     positions = {}
     for spec in specs:
         live_pairs = _live_pairs(spec)
-        used = np.flatnonzero(np.bincount(live_pairs, minlength=d * d))
+        used = np.bincount(live_pairs, minlength=d * d) > 0
         columns = positions.setdefault((live_pairs.size, used.tobytes()), (used, {}))[1]
-        columns.setdefault(live_pairs.tobytes(), live_pairs)
+        columns.setdefault(id(live_pairs), live_pairs)
+    lives = [live for live, _ in positions]
+    shares = np.array([1.0 / live for live in lives])[:, None, None]
+    masks = np.array([used for used, _ in positions.values()])
+    # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
+    # has shift s; with no such live row, it would land on a forbidden one.
+    missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
+
+    def worst(errors):  # over positions x cats x ``pairs``, at each position's own pairs
+        return float(np.where(masks[:, None, pairs], errors, 0.0).max())
+
+    # Every k = 2 position has the d**2 live rows of both equivalence sides.
+    collective = lives.index(d * d)
+    _, many_used, single = _equivalence_sides(d, m)
+    many_rows = np.searchsorted(pairs, np.flatnonzero(many_used))
 
     sum_err = 0.0
     fidelity_err = 0.0
@@ -209,7 +217,7 @@ def run_all_checks(
     signaling_err = 0.0
     equivalence_err = 0.0
     receiver = np.arange(d)
-    block_cats = max(1, CHECK_BLOCK_ENTRIES // d ** 3)
+    block_cats = max(1, CHECK_BLOCK_ENTRIES // (d ** 3 * len(lives)))
     for start in range(0, seeds, block_cats):
         block = [
             random_cat_state(d, m, seed).coeffs
@@ -219,41 +227,35 @@ def run_all_checks(
         # The first block also carries the first cat with a global phase, last.
         stack = np.array(block + [block[0] * np.exp(0.73j)] if start == 0 else block)
         norms = [float(np.vdot(coeffs, coeffs).real) for coeffs in block]
-        for (live, _), (used, columns) in positions.items():
-            # The first d**k rows can occur, each with probability 1/d**k.
-            branched = _pair_branches(stack, live)
-            probabilities = branched[1][:, used]
-            fidelities = _fold_corrections(stack, used, branched, images)[2]
-            if start == 0:
-                phase_err = max(
-                    phase_err,
-                    float(np.abs(probabilities[-1] - probabilities[0]).max()),
-                    float(np.abs(fidelities[-1] - fidelities[0]).max()),
-                )
-            # Row order, as a running sum over the outcome records adds them.
+        # At each position the first d**k rows can occur, each with probability 1/d**k.
+        branched = _pair_branches(stack, lives)
+        folded, leaked, fidelities = _fold_corrections(stack, pairs, branched, images)
+        probabilities = branched[1][..., pairs]
+        if start == 0:
+            twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
+            phase_err = max(phase_err, *map(worst, twisted))
+        # Row order, as a running sum over the outcome records adds them.
+        for position, (_, columns) in zip(branched[1], positions.values()):
             for live_pairs in columns.values():
-                sums = (sum(memoryview(row[live_pairs])) for row in branched[1][:cats])
+                sums = (sum(memoryview(row[live_pairs])) for row in position[:cats])
                 sum_err = max(sum_err, *(abs(total - 1.0) for total in sums))
-            probabilities, fidelities = probabilities[:cats], fidelities[:cats]
-            uniformity_err = max(uniformity_err, float(np.abs(probabilities - 1.0 / live).max()))
-            fidelity_err = max(fidelity_err, float(np.abs(fidelities - 1.0).max()))
-            # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
-            # has shift s; with no such live row, it would land on a forbidden one.
-            missing_shifts = d - np.unique(used // d).size
-            selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
+        uniformity_err = max(uniformity_err, worst(np.abs(probabilities[:, :cats] - shares)))
+        fidelity_err = max(fidelity_err, worst(np.abs(fidelities[:, :cats] - 1.0)))
+        selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
 
         # The receiver's reduced state from the d**2 nonzero joint amplitudes
         # alpha_l / sqrt(d) on sender (l..l, i) and receiver (i..i), traced over
         # the sender index (l, i). Off the sector it is exactly zero, as is the
         # expected maximally mixed state I/d there.
-        for coeffs in block:
-            joint = np.zeros((d, d, d), dtype=np.complex128)
-            joint[receiver, :, receiver] = coeffs * (1.0 / math.sqrt(d))
-            traced = joint.reshape(d, d * d)
-            rho = traced @ traced.conj().T
-            signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
+        joint = np.zeros((cats, d, d, d), dtype=np.complex128)
+        joint[:, receiver, :, receiver] = stack[:cats] * (1.0 / math.sqrt(d))
+        traced = joint.reshape(cats, d, d * d)
+        rho = traced @ traced.conj().transpose(0, 2, 1)
+        signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
 
-        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], d, m)
+        shared = (branched[0][collective, :cats], branched[1][collective, :cats])
+        many = (many_used, *(side[collective][:cats, many_rows] for side in (folded, leaked)))
+        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, many, single)
         equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
 
     return [

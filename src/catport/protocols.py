@@ -440,17 +440,22 @@ def _pair_tables(d: int) -> tuple[np.ndarray, ...]:
     return source, gather, rephase, twist
 
 
-def _pair_branches(coeffs: np.ndarray, live: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_branches(coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
     """Bob's unnormalized branch on the sector |i..i> for each pair p, and its
     probability, for a cat's coefficients ``coeffs`` or a stack of them on
     leading axes. Every nonzero outcome with pair p leaves this branch.
 
     Row p is b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with
-    l = i - shift mod d, where ``live = d**k`` is the number of nonzero outcomes.
-    Each row is rounded alike whatever the stack around it.
+    l = i - shift mod d, where ``live = d**k`` is the number of nonzero outcomes;
+    a list of counts puts each count's rows on a new leading axis. Each row is
+    rounded alike whatever the stack or the other counts around it.
     """
     source, _, rephase, _ = _pair_tables(coeffs.shape[-1])
-    branches = coeffs[..., source] * rephase / math.sqrt(live)
+    if isinstance(live, list):
+        scale = np.reshape([math.sqrt(count) for count in live], (-1,) + (1,) * (coeffs.ndim + 1))
+    else:
+        scale = math.sqrt(live)
+    branches = coeffs[..., source] * rephase / scale
     return branches, np.einsum("...ij,...ij->...i", branches.conj(), branches).real
 
 
@@ -532,54 +537,70 @@ def _sector_images(spec: ProtocolSpec, pairs: np.ndarray) -> tuple[np.ndarray, n
     """Row p of two (d**2, d) tables, for each pair p in ``pairs``: the digit j
     of the sector ket |j..j> that its real correction sends the receiver's
     |i..i> to, or -1 off the sector, and the factor."""
-    d, sector = spec.d, cat_sector_indices(spec.d, spec.m)
+    sector = cat_sector_indices(spec.d, spec.m)
     corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
     targets = np.array([correction.perm[sector] for correction in corrections])
+    factors = np.array([correction.factors[sector] for correction in corrections])
+    return _image_rows(spec.d, sector, pairs, targets, factors)
+
+
+def _image_rows(d: int, sector: np.ndarray, pairs: np.ndarray, targets, factors):
+    """:func:`_sector_images` from its corrections' ``targets`` and ``factors`` at ``sector``."""
     slots = np.zeros((d * d, d), dtype=np.int64)
-    factors = np.zeros((d * d, d), dtype=np.complex128)
+    images = np.zeros((d * d, d), dtype=np.complex128)
     slots[pairs] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
-    factors[pairs] = [correction.factors[sector] for correction in corrections]
-    return slots, factors
+    images[pairs] = factors
+    return slots, images
 
 
 def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
     """Each pair in ``pairs`` after its real correction (``images``), for the
     cat coefficients ``coeffs`` or a stack of them on leading axes, as passed
-    to ``_pair_branches``: the amplitudes left on the sector |i..i>, one row
-    per pair, the norm sent off it, and the fidelity with the cat. The
-    arithmetic is the engine's, so correct corrections give its fidelities
-    bit for bit, and each cat of a stack gets the bits it gets alone."""
+    to ``_pair_branches`` (``branched`` may add ladder positions in front):
+    the amplitudes left on the sector |i..i>, one row per pair, the norm sent
+    off it, and the fidelity with the cat. The arithmetic is the engine's, so
+    correct corrections give its fidelities bit for bit, per cat as if alone."""
     branches, probabilities = branched
     slots, factors = images[0][pairs], images[1][pairs]
-    moved = branches[..., pairs, :] / np.sqrt(probabilities[..., pairs])[..., None] * factors
+    scales = np.sqrt(probabilities[..., pairs])[..., None]
+    # np.take keeps C order, so a fold with every entry on the sector scatters it as it is.
+    moved = np.take(branches, pairs, axis=-2) / scales * factors
     on_sector = slots >= 0
     rows, cols = np.nonzero(on_sector)
     folded = np.zeros_like(moved)
-    folded[..., rows, slots[rows, cols]] = moved[..., rows, cols]
-    leaked = np.linalg.norm(np.where(on_sector, 0, moved), axis=-1)
+    if on_sector.all():  # every entry moves, in order, and nothing leaks
+        folded[..., rows, slots.ravel()] = moved.reshape(moved.shape[:-2] + (-1,))
+        leaked = np.zeros(moved.shape[:-1])
+    else:
+        folded[..., rows, slots[rows, cols]] = moved[..., rows, cols]
+        leaked = np.linalg.norm(np.where(on_sector, 0, moved), axis=-1)
     fidelities = np.abs(np.einsum("...ij,...j->...i", folded, coeffs.conj())) ** 2
     return folded, leaked, fidelities
 
 
-def _equivalence_deltas(coeffs: np.ndarray, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _equivalence_sides(d: int, m: int):
+    """The collective protocol on m particles, its live pairs' mask, and the
+    single side it must match as :func:`_equivalence_deltas` takes it."""
+    kind = ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED
+    specs = ProtocolSpec(kind, d, m), ProtocolSpec(ProtocolKind.BELL, d, 1)
+    many, single = (np.bincount(_live_pairs(spec), minlength=d * d) > 0 for spec in specs)
+    return specs[0], many, (single, _sector_images(specs[1], np.flatnonzero(single)))
+
+
+def _equivalence_deltas(coeffs, branched, many, single) -> tuple[np.ndarray, np.ndarray]:
     """The largest probability delta and the largest state delta of
     :func:`barred_equivalence_check`, one entry per cat of the stack
-    ``coeffs`` (one row of d coefficients each). Each cat gets the bits it
-    gets alone."""
-    many_spec = ProtocolSpec(ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED, d, m)
-    sides = []
-    for spec in (many_spec, ProtocolSpec(ProtocolKind.BELL, d, 1)):
-        used = np.bincount(_live_pairs(spec), minlength=d * d) > 0
-        pairs = np.flatnonzero(used)
-        branched = _pair_branches(coeffs, d ** ladder_k(spec))
-        folded, leaked, _ = _fold_corrections(
-            coeffs, pairs, branched, _sector_images(spec, pairs)
-        )
-        sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
-    (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
+    ``coeffs`` (one row of d coefficients each), from both sides' shared
+    ``branched = _pair_branches(coeffs, d**2)``: the collective side's
+    ``many = (used, folded, leaked)``, its live pairs' mask and their fold,
+    and the single side's ``single = (used, images)``, folded here. Each cat
+    gets the bits it gets alone."""
+    (many_used, many_post, leaked), (single_used, images) = many, single
+    many_p, single_p = (np.where(used, branched[1], 0.0) for used in (many_used, single_used))
     prob_deltas = np.abs(many_p - single_p).max(axis=-1)
     if not np.array_equal(many_used, single_used):
         return prob_deltas, np.ones_like(prob_deltas)
+    single_post = _fold_corrections(coeffs, np.flatnonzero(single_used), branched, images)[0]
     state_deltas = np.abs(many_post - single_post).max(axis=(-2, -1))
     return prob_deltas, np.maximum(state_deltas, leaked.max(axis=-1))
 
@@ -602,5 +623,10 @@ def barred_equivalence_check(
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
     check_size(d, m, max_dim)
-    prob_deltas, state_deltas = _equivalence_deltas(cat.coeffs[None], d, m)
+    coeffs = cat.coeffs[None]
+    branched = _pair_branches(coeffs, d * d)
+    many_spec, many_used, single = _equivalence_sides(d, m)
+    pairs = np.flatnonzero(many_used)
+    many = _fold_corrections(coeffs, pairs, branched, _sector_images(many_spec, pairs))[:2]
+    prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, (many_used, *many), single)
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))

@@ -121,6 +121,17 @@ class TestMutations:
         monkeypatch.setattr(bases, "sector_terms", moved)
         assert "basis_orthonormality" in failures(3, 2, 3)
 
+    def test_single_particle_correction_phase_off_by_one(self, monkeypatch, fresh_corrections):
+        # Only the one-qudit register's corrections are wrong, and only the
+        # single-particle side of the equivalence applies them: its images
+        # must come from that register, not from the m-qudit one.
+        build = protocols.cat_sector_correction
+        monkeypatch.setattr(
+            protocols, "cat_sector_correction",
+            lambda d, n, phase_power, shift: build(d, n, phase_power + (n == 1), shift),
+        )
+        assert failures(3, 2, 3) == {"barred_equivalence"}
+
     @pytest.mark.parametrize("broken", ["repeated_target", "factor_off_the_circle"])
     def test_corrupted_correction_fails_unitarity(self, monkeypatch, fresh_corrections, broken):
         # Built past the constructor's validation, and on ket |0..01> of the
@@ -171,6 +182,18 @@ def test_cold_basis_certificate_builds_no_label_or_dense_family(
         monkeypatch.setattr(bases, name, forbidden)
     assert checks._basis_error(d, m) < 1e-12
     assert not {"BasisFamily", "BellLabel", "ComplementLabel"} & set(vars(checks))
+
+
+def test_family_certificate_memory_at_d40():
+    # The 64000 block-GHZ labels at d = 40 are read d**2 at a time.
+    tracemalloc.start()
+    try:
+        error = checks._sector_family_error(40, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error < 1e-12
+    assert peak < 16 * 2**20, peak
 
 
 def row_pairs(spec):
@@ -476,3 +499,41 @@ def test_blocks_change_nothing(monkeypatch, d, m, block_cats):
     monkeypatch.setattr(checks, "random_cat_state", recorded)
     assert run_all_checks(d, m, 7) == expected
     assert drawn == list(range(7))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", range(2, 12))
+def test_stacked_ladder_branches_match_the_per_count_calls(d, m):
+    stack = np.array([random_cat_state(d, m, seed).coeffs for seed in range(4)])
+    lives = [d**k for k in range(2, m + 2)]
+    branches, probabilities = protocols._pair_branches(stack, lives)
+    assert branches.shape == (len(lives), 4, d * d, d)
+    for position, live in enumerate(lives):
+        alone = protocols._pair_branches(stack, live)
+        assert np.array_equal(branches[position], alone[0]), live
+        assert np.array_equal(probabilities[position], alone[1]), live
+        for cat, coeffs in enumerate(stack):
+            one = protocols._pair_branches(coeffs, live)
+            assert np.array_equal(branches[position, cat], one[0]), (live, cat)
+            assert np.array_equal(probabilities[position, cat], one[1]), (live, cat)
+
+
+def per_cat_signaling_error(d, m, seeds):
+    """The no-signalling check as written before the cats were stacked: one
+    joint array and one matmul per cat."""
+    error = 0.0
+    receiver = np.arange(d)
+    for seed in range(seeds):
+        joint = np.zeros((d, d, d), dtype=np.complex128)
+        joint[receiver, :, receiver] = random_cat_state(d, m, seed).coeffs * (1.0 / math.sqrt(d))
+        traced = joint.reshape(d, d * d)
+        rho = traced @ traced.conj().T
+        error = max(error, float(np.abs(rho - np.eye(d) / d).max()))
+    return error
+
+
+@pytest.mark.parametrize("d, m, seeds", [(2, 1, 5), (3, 2, 7), (5, 3, 5), (7, 2, 40),
+                                         (11, 2, 3), (20, 2, 70)])
+def test_stacked_no_signaling_matches_the_per_cat_matmul(d, m, seeds):
+    results = {r.name: r.max_error for r in run_all_checks(d, m, seeds)}
+    assert results["no_signaling"] == per_cat_signaling_error(d, m, seeds)

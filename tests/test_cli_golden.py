@@ -41,6 +41,11 @@ def _cases() -> dict[str, list[str]]:
     for fmt in ("json", "csv"):
         cases[f"verify-3-2.{fmt}"] = ["verify", "--d", "3", "--m", "2", "--seeds", "3",
                                       "--format", fmt]
+    # Two of the verify benchmark's points, with many ladder positions or wide cats.
+    for d, m in [(2, 6), (5, 3)]:
+        for fmt in ("json", "csv"):
+            cases[f"verify-{d}-{m}.{fmt}"] = ["verify", "--d", str(d), "--m", str(m),
+                                              "--seeds", "5", "--format", fmt]
     return cases
 
 
