@@ -20,6 +20,7 @@ from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
     ProtocolSpec,
+    _ladder_positions,
     _live_pairs,
     _pair_branches,
     check_size,
@@ -56,17 +57,21 @@ def _fits(d: int, m: int, max_dim: int) -> bool:
     return True
 
 
-def _cross_check(spec: ProtocolSpec, probabilities: np.ndarray) -> None:
-    """Raise RuntimeError unless exactly ``nonzero_outcome_count(spec)`` of
-    the engine's outcome probabilities exceed PROB_FLOOR: those of the
-    protocol's live rows, read off the pairs' ``probabilities``."""
-    observed = int(np.count_nonzero(probabilities[_live_pairs(spec)] > PROB_FLOOR))
+def _cross_check(spec: ProtocolSpec, observed: int) -> None:
+    """Raise RuntimeError unless ``observed``, the number of the engine's
+    outcome probabilities over PROB_FLOOR, is ``nonzero_outcome_count(spec)``."""
     expected = nonzero_outcome_count(spec)
     if observed != expected:
         raise RuntimeError(
             f"counted {observed} nonzero outcomes for {spec}, "
             f"expected {expected}"
         )
+
+
+def _nonzero(probabilities: np.ndarray, live_pairs: np.ndarray) -> int:
+    """How many of a protocol's live rows, read off the pairs'
+    ``probabilities`` through its ``live_pairs`` column, exceed PROB_FLOOR."""
+    return int(np.count_nonzero(probabilities[live_pairs] > PROB_FLOOR))
 
 
 def cost_of(
@@ -87,7 +92,8 @@ def cost_of(
     """
     if cross_check and _fits(spec.d, spec.m, max_dim):
         cat = random_cat_state(spec.d, spec.m, seed)
-        _cross_check(spec, _pair_branches(cat.coeffs, _live_pairs(spec).size)[1])
+        live_pairs = _live_pairs(spec)
+        _cross_check(spec, _nonzero(_pair_branches(cat.coeffs, live_pairs.size)[1], live_pairs))
     nonzero = nonzero_outcome_count(spec)
     return CostRow(
         spec=spec,
@@ -136,10 +142,16 @@ def cost_table(
                 if include_hybrids or spec.kind is not ProtocolKind.HYBRID
             ]
             if cross_check and _fits(d, m, max_dim):
-                # One branch pass over every spec's live count; each counts its own column.
-                lives = [_live_pairs(spec).size for spec in specs]
+                # One branch pass over the ladder positions; each stored column is counted once.
+                positions, slots = _ladder_positions(d, m)
+                lives = [position.live for position in positions]
                 branched = _pair_branches(random_cat_state(d, m, 0).coeffs, lives)
-                for spec, probabilities in zip(specs, branched[1]):
-                    _cross_check(spec, probabilities)
+                counts = [
+                    [_nonzero(probabilities, column) for column in position.columns]
+                    for position, probabilities in zip(positions, branched[1])
+                ]
+                for spec, (position, column) in zip(protocol_specs(d, m), slots):
+                    if include_hybrids or spec.kind is not ProtocolKind.HYBRID:
+                        _cross_check(spec, counts[position][column])
             rows.extend(cost_of(spec, cross_check=False) for spec in specs)
     return rows

@@ -22,6 +22,11 @@ a block takes one branch pass and one fold, whose k = 2 slice is also the
 equivalence's collective side. The d**2 corrections are certified in chunks
 of stacked tables that the fold's sector images are read from. Every row is
 rounded as it would be alone, so the results do not depend on the blocks.
+
+What depends on (d, m) alone, the correction certificate with its images,
+the ladder positions and the equivalence sides, is built once per (d, m) in
+:func:`_check_plan`, like the basis certificate in :func:`_basis_error`; a
+call does only its cat blocks.
 """
 
 from __future__ import annotations
@@ -29,18 +34,20 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bases
 from .core import DEFAULT_MAX_DIM, cat_sector_indices, random_cat_state
 from .protocols import (
+    LadderPosition,
     MonomialOperator,
     _equivalence_deltas,
     _equivalence_sides,
     _fold_corrections,
     _image_rows,
-    _live_pairs,
+    _ladder_positions,
     _pair_branches,
     _pair_correction,
     check_size,
@@ -160,6 +167,61 @@ def _unitarity_error(corrections: list[MonomialOperator], sector: np.ndarray):
 CHECK_BLOCK_ENTRIES = 1 << 18
 
 
+class _CheckPlan(NamedTuple):
+    """What :func:`run_all_checks` reads at (d, m) whatever the cats."""
+
+    pairs: np.ndarray
+    unitarity_err: float
+    images: tuple[np.ndarray, np.ndarray]
+    positions: tuple[LadderPosition, ...]
+    lives: list[int]
+    shares: np.ndarray
+    masks: np.ndarray
+    missing_shifts: int
+    collective: int
+    many_used: np.ndarray
+    single: tuple
+    many_rows: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _check_plan(d: int, m: int) -> _CheckPlan:
+    """The work of :func:`run_all_checks` that depends on (d, m) alone: the
+    corrections' certificate and sector images, and the ladder positions with
+    their masks and shares. A process builds it once per (d, m), as it keeps
+    the corrections it certifies (``protocols._register_corrections``)."""
+    positions = _ladder_positions(d, m)[0]
+    masks = np.array([position.used for position in positions])
+    # Outcomes with the same (shift, phase) pair share one operator: check each
+    # once, on tables stacked a chunk at a time, and read its sector images there.
+    pairs = np.flatnonzero(masks.any(axis=0))
+    sector = cat_sector_indices(d, m)
+    chunk = max(1, CHECK_BLOCK_ENTRIES // d ** m)
+    spec = protocol_specs(d, m)[0]
+    corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
+    errors, targets, factors = zip(*(
+        _unitarity_error(corrections[start : start + chunk], sector)
+        for start in range(0, len(corrections), chunk)
+    ))
+    images = _image_rows(d, sector, pairs, np.concatenate(targets), np.concatenate(factors))
+
+    # The ladder positions are one stacked axis of the branches and the fold.
+    lives = [position.live for position in positions]
+    shares = np.array([1.0 / live for live in lives])[:, None, None]
+    # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
+    # has shift s; with no such live row, it would land on a forbidden one.
+    missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
+
+    # Every k = 2 position has the d**2 live rows of both equivalence sides.
+    _, many_used, single = _equivalence_sides(d, m)
+    many_rows = np.searchsorted(pairs, np.flatnonzero(many_used))
+    plan = _CheckPlan(pairs, max(errors), images, positions, lives, shares, masks,
+                      missing_shifts, lives.index(d * d), many_used, single, many_rows)
+    for array in (pairs, *images, shares, masks, many_used, single[0], *single[1], many_rows):
+        array.setflags(write=False)
+    return plan
+
+
 def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
@@ -167,47 +229,12 @@ def run_all_checks(
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     # Before anything is built: listing the m + 4 specs of a huge register is slow.
     check_size(d, m, max_dim)
-    specs = protocol_specs(d, m)
     basis_err = _basis_error(d, m)
-
-    # Outcomes with the same (shift, phase) pair share one operator: check each
-    # once, on tables stacked a chunk at a time, and read its sector images there.
-    counts = sum(np.bincount(_live_pairs(spec), minlength=d * d) for spec in specs)
-    pairs = np.flatnonzero(counts)
-    sector = cat_sector_indices(d, m)
-    chunk = max(1, CHECK_BLOCK_ENTRIES // d ** m)
-    corrections = [_pair_correction(specs[0], pair) for pair in pairs.tolist()]
-    errors, targets, factors = zip(*(
-        _unitarity_error(corrections[start : start + chunk], sector)
-        for start in range(0, len(corrections), chunk)
-    ))
-    unitarity_err = max(errors)
-    images = _image_rows(d, sector, pairs, np.concatenate(targets), np.concatenate(factors))
-
-    # Specs with the same d**k live rows over the same pairs share branches,
-    # probabilities and fold: one ladder position each, all stacked on one
-    # axis. Only the row order of the completeness sum is each spec's own;
-    # specs that share a stored column sum it once, and equal columns alike.
-    positions = {}
-    for spec in specs:
-        live_pairs = _live_pairs(spec)
-        used = np.bincount(live_pairs, minlength=d * d) > 0
-        columns = positions.setdefault((live_pairs.size, used.tobytes()), (used, {}))[1]
-        columns.setdefault(id(live_pairs), live_pairs)
-    lives = [live for live, _ in positions]
-    shares = np.array([1.0 / live for live in lives])[:, None, None]
-    masks = np.array([used for used, _ in positions.values()])
-    # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
-    # has shift s; with no such live row, it would land on a forbidden one.
-    missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
+    (pairs, unitarity_err, images, positions, lives, shares, masks, missing_shifts,
+     collective, many_used, single, many_rows) = _check_plan(d, m)
 
     def worst(errors):  # over positions x cats x ``pairs``, at each position's own pairs
         return float(np.where(masks[:, None, pairs], errors, 0.0).max())
-
-    # Every k = 2 position has the d**2 live rows of both equivalence sides.
-    collective = lives.index(d * d)
-    _, many_used, single = _equivalence_sides(d, m)
-    many_rows = np.searchsorted(pairs, np.flatnonzero(many_used))
 
     sum_err = 0.0
     fidelity_err = 0.0
@@ -235,8 +262,8 @@ def run_all_checks(
             twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
             phase_err = max(phase_err, *map(worst, twisted))
         # Row order, as a running sum over the outcome records adds them.
-        for position, (_, columns) in zip(branched[1], positions.values()):
-            for live_pairs in columns.values():
+        for position, (_, _, columns) in zip(branched[1], positions):
+            for live_pairs in columns:
                 sums = (sum(memoryview(row[live_pairs])) for row in position[:cats])
                 sum_err = max(sum_err, *(abs(total - 1.0) for total in sums))
         uniformity_err = max(uniformity_err, worst(np.abs(probabilities[:, :cats] - shares)))

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -337,6 +337,38 @@ def _ladder_pairs(d: int, k: int, ghz: bool) -> np.ndarray:
         pairs = (shift[:, None] * d + (phase[:, None] + digit_sums) % d).reshape(-1)
     pairs.setflags(write=False)
     return pairs
+
+
+class LadderPosition(NamedTuple):
+    """Specs with the same d**k live rows over the same pairs, which share
+    branches, probabilities and fold: the count ``live = d**k``, the mask
+    ``used`` of those pairs, and each distinct stored live-pair column once."""
+
+    live: int
+    used: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=32)
+def _ladder_positions(d: int, m: int):
+    """The ladder positions of ``protocol_specs(d, m)`` in first-use order,
+    and each spec's (position, column) index among them. Only the row order
+    of a spec's completeness sum is its own; specs that share a stored column
+    share that too, and equal columns give equal sums."""
+    positions, slots = {}, []
+    for spec in protocol_specs(d, m):
+        live_pairs = _live_pairs(spec)
+        used = np.bincount(live_pairs, minlength=d * d) > 0
+        used.setflags(write=False)
+        index, _, columns = positions.setdefault(
+            (live_pairs.size, used.tobytes()), (len(positions), used, {})
+        )
+        slots.append((index, columns.setdefault(id(live_pairs), (len(columns), live_pairs))[0]))
+    ladder = tuple(
+        LadderPosition(live, used, tuple(column for _, column in columns.values()))
+        for (live, _), (_, used, columns) in positions.items()
+    )
+    return ladder, tuple(slots)
 
 
 def _live_label(spec: ProtocolSpec, row: int) -> BasisLabel:

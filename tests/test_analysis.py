@@ -89,6 +89,26 @@ class TestCostOf:
         with pytest.raises(RuntimeError, match="nonzero outcomes"):
             cost_table([3], [2], include_hybrids=True, cross_check=True)
 
+    def test_cross_checked_table_names_the_first_failing_spec(self, monkeypatch):
+        d, m = 3, 3
+        specs = protocols.protocol_specs(d, m)
+        wrong = {specs[2], hybrid(d, m, m + 1)}  # barred, and the hybrid at Bell's position
+        count = analysis.nonzero_outcome_count
+        monkeypatch.setattr(
+            analysis, "nonzero_outcome_count", lambda spec: count(spec) + (spec in wrong)
+        )
+        with pytest.raises(RuntimeError) as alone:
+            cost_of(specs[2], cross_check=True)
+        for include_hybrids in (False, True):
+            with pytest.raises(RuntimeError) as table:
+                cost_table([d], [m], include_hybrids=include_hybrids, cross_check=True)
+            assert str(table.value) == str(alone.value)
+        # A hybrid the table leaves out is not cross-checked.
+        wrong = {hybrid(d, m, 3)}
+        assert len(cost_table([d], [m], cross_check=True)) == 3
+        with pytest.raises(RuntimeError, match="hybrid_k=3"):
+            cost_table([d], [m], include_hybrids=True, cross_check=True)
+
     def test_cross_check_skipped_over_cap(self):
         # register is 2**41; the analytic path must still succeed
         row = cost_of(ProtocolSpec(ProtocolKind.GHZ, 2, 20), cross_check=True)

@@ -48,11 +48,14 @@ def failures(d, m, seeds):
 
 @pytest.fixture()
 def fresh_corrections():
-    """Drop the stored corrections before and after, so a patched constructor
-    reaches the checks and leaves nothing behind for other tests."""
+    """Drop the stored corrections and the check plans that certify them
+    before and after, so a patched constructor reaches the checks and leaves
+    nothing behind for other tests."""
     protocols._register_corrections.cache_clear()
+    checks._check_plan.cache_clear()
     yield
     protocols._register_corrections.cache_clear()
+    checks._check_plan.cache_clear()
 
 
 @pytest.fixture()
@@ -167,6 +170,58 @@ class TestMutations:
 
         monkeypatch.setattr(bases, "complement_indices", miscounted)
         assert "basis_orthonormality" in failures(3, 2, 3)
+
+
+def phase_off_by_one(build):
+    return lambda d, n, phase_power, shift: build(d, n, phase_power + 1, shift)
+
+
+def repeated_target(build):
+    def corrupted(d, n, phase_power, shift):
+        good = build(d, n, phase_power, shift)
+        bad = object.__new__(MonomialOperator)
+        bad.d, bad.num_qudits, bad.phase_exp = d, n, good.phase_exp
+        bad.perm, bad.factors = good.perm.copy(), good.factors.copy()
+        bad.perm[1] = bad.perm[0]
+        return bad
+
+    return corrupted
+
+
+@pytest.mark.parametrize("broken, failed", [(phase_off_by_one, "perfect_teleportation"),
+                                            (repeated_target, "correction_unitarity")])
+def test_warm_plan_does_not_hide_a_mutated_constructor(request, monkeypatch, broken, failed):
+    assert failures(3, 2, 3) == set()  # the plan at (3, 2) is warm
+    request.getfixturevalue("fresh_corrections")
+    monkeypatch.setattr(
+        protocols, "cat_sector_correction", broken(protocols.cat_sector_correction)
+    )
+    assert failed in failures(3, 2, 3)
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (2, 6), (5, 3)])
+def test_warm_plan_certifies_no_correction_again(monkeypatch, d, m):
+    first = run_all_checks(d, m, 4)
+    calls = []
+
+    def counted(module, name):
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or call(*args))
+
+    counted(checks, "_unitarity_error")
+    counted(checks, "_pair_correction")
+    counted(protocols, "_pair_correction")
+    assert run_all_checks(d, m, 4) == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (2, 3), (2, 6)])
+def test_plan_chunks_change_nothing(monkeypatch, fresh_corrections, d, m):
+    # One correction per chunk of the certificate, against the default chunks.
+    expected = run_all_checks(d, m, 3)
+    checks._check_plan.cache_clear()
+    monkeypatch.setattr(checks, "CHECK_BLOCK_ENTRIES", d**m)
+    assert run_all_checks(d, m, 3) == expected
 
 
 @pytest.mark.parametrize("d, m", [(2, 12), (3, 4)])
@@ -383,6 +438,7 @@ def test_no_seeds_rejected_before_anything_is_built(seeds):
 
 def test_memory_at_d2_m10():
     checks._basis_error.cache_clear()
+    checks._check_plan.cache_clear()
     protocols._register_corrections.cache_clear()
     tracemalloc.start()
     try:
