@@ -21,7 +21,6 @@ from .protocols import (
     ProtocolKind,
     ProtocolSpec,
     _ladder_positions,
-    _live_pairs,
     _pair_branches,
     check_size,
     ladder_k,
@@ -68,10 +67,19 @@ def _cross_check(spec: ProtocolSpec, observed: int) -> None:
         )
 
 
-def _nonzero(probabilities: np.ndarray, live_pairs: np.ndarray) -> int:
-    """How many of a protocol's live rows, read off the pairs'
-    ``probabilities`` through its ``live_pairs`` column, exceed PROB_FLOOR."""
-    return int(np.count_nonzero(probabilities[live_pairs] > PROB_FLOOR))
+def _observed_counts(d: int, m: int, seed: int) -> list[int]:
+    """For each spec of ``protocol_specs(d, m)``, in order, how many of its
+    live rows' probabilities exceed PROB_FLOOR on the random cat state of
+    ``seed``: one branch pass stacked over the ladder positions, and each
+    stored live-pair column counted once."""
+    positions, slots = _ladder_positions(d, m)
+    lives = [position.live for position in positions]
+    branched = _pair_branches(random_cat_state(d, m, seed).coeffs, lives)
+    counts = [
+        [int(np.count_nonzero(probabilities[column] > PROB_FLOOR)) for column in position.columns]
+        for position, probabilities in zip(positions, branched[1])
+    ]
+    return [counts[position][column] for position, column in slots]
 
 
 def cost_of(
@@ -91,9 +99,8 @@ def cost_of(
     RuntimeError.
     """
     if cross_check and _fits(spec.d, spec.m, max_dim):
-        cat = random_cat_state(spec.d, spec.m, seed)
-        live_pairs = _live_pairs(spec)
-        _cross_check(spec, _nonzero(_pair_branches(cat.coeffs, live_pairs.size)[1], live_pairs))
+        index = protocol_specs(spec.d, spec.m).index(spec)
+        _cross_check(spec, _observed_counts(spec.d, spec.m, seed)[index])
     nonzero = nonzero_outcome_count(spec)
     return CostRow(
         spec=spec,
@@ -142,16 +149,8 @@ def cost_table(
                 if include_hybrids or spec.kind is not ProtocolKind.HYBRID
             ]
             if cross_check and _fits(d, m, max_dim):
-                # One branch pass over the ladder positions; each stored column is counted once.
-                positions, slots = _ladder_positions(d, m)
-                lives = [position.live for position in positions]
-                branched = _pair_branches(random_cat_state(d, m, 0).coeffs, lives)
-                counts = [
-                    [_nonzero(probabilities, column) for column in position.columns]
-                    for position, probabilities in zip(positions, branched[1])
-                ]
-                for spec, (position, column) in zip(protocol_specs(d, m), slots):
+                for spec, observed in zip(protocol_specs(d, m), _observed_counts(d, m, 0)):
                     if include_hybrids or spec.kind is not ProtocolKind.HYBRID:
-                        _cross_check(spec, counts[position][column])
+                        _cross_check(spec, observed)
             rows.extend(cost_of(spec, cross_check=False) for spec in specs)
     return rows

@@ -19,14 +19,15 @@ branch amplitudes over all ladder positions, so memory is flat in the seed
 count; the first block also carries the first cat with a global phase. The
 ladder positions, each shared by its protocols, are one more stacked axis:
 a block takes one branch pass and one fold, whose k = 2 slice is also the
-equivalence's collective side. The d**2 corrections are certified in chunks
-of stacked tables that the fold's sector images are read from. Every row is
-rounded as it would be alone, so the results do not depend on the blocks.
+equivalence's collective side. Every row is rounded as it would be alone,
+so the results do not depend on the blocks.
 
-What depends on (d, m) alone, the correction certificate with its images,
-the ladder positions and the equivalence sides, is built once per (d, m) in
-:func:`_check_plan`, like the basis certificate in :func:`_basis_error`; a
-call does only its cat blocks.
+The d**2 corrections of a register are built one at a time by
+:func:`protocols._register_images`, which certifies each, reads its sector
+images and drops it. That, the ladder positions and the equivalence sides
+depend on (d, m) alone and are built once per (d, m) in :func:`_check_plan`,
+like the basis certificate in :func:`_basis_error`; a call does only its
+cat blocks.
 """
 
 from __future__ import annotations
@@ -39,17 +40,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bases
-from .core import DEFAULT_MAX_DIM, cat_sector_indices, random_cat_state
+from .core import DEFAULT_MAX_DIM, random_cat_state
 from .protocols import (
     LadderPosition,
-    MonomialOperator,
     _equivalence_deltas,
     _equivalence_sides,
     _fold_corrections,
-    _image_rows,
     _ladder_positions,
     _pair_branches,
-    _pair_correction,
+    _register_images,
     check_size,
     protocol_specs,
 )
@@ -142,28 +141,9 @@ def _basis_error(d: int, m: int) -> float:
     return max(fourier_error, joint_error, *(_sector_family_error(d, *f) for f in families))
 
 
-def _unitarity_error(corrections: list[MonomialOperator], sector: np.ndarray):
-    """The worst of ``corrections``, checked together on their stacked
-    tables: 1.0 unless a correction's digit map is a bijection, and then the
-    largest ||f|**2 - 1| over its phase factors, because U^dagger U - I of a
-    monomial operator with a bijective digit map is diagonal with those
-    entries. Also the tables' columns at the ``sector`` kets, the targets and
-    factors there that :func:`protocols._image_rows` reads."""
-    perms = np.array([correction.perm for correction in corrections])
-    targets = perms[:, sector]
-    bijective = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(axis=1)
-    del perms  # the tables are d**m entries per correction
-    factors = np.array([correction.factors for correction in corrections])
-    deviations = factors.real ** 2
-    deviations += factors.imag ** 2
-    deviations -= 1.0
-    error = float(np.where(bijective, np.abs(deviations).max(axis=1), 1.0).max())
-    return error, targets, factors[:, sector]
-
-
-# Entries checked together: d**3 branch amplitudes per cat and ladder
-# position, d**m table entries per correction. A block's arrays take a small
-# multiple of 16 bytes per entry, so memory is flat in the seeds and register.
+# Branch amplitudes checked together: d**3 per cat and ladder position. A
+# block's arrays take a small multiple of 16 bytes per amplitude, so memory
+# is flat in the seeds.
 CHECK_BLOCK_ENTRIES = 1 << 18
 
 
@@ -187,23 +167,15 @@ class _CheckPlan(NamedTuple):
 @lru_cache(maxsize=32)
 def _check_plan(d: int, m: int) -> _CheckPlan:
     """The work of :func:`run_all_checks` that depends on (d, m) alone: the
-    corrections' certificate and sector images, and the ladder positions with
-    their masks and shares. A process builds it once per (d, m), as it keeps
-    the corrections it certifies (``protocols._register_corrections``)."""
+    corrections' certificate and sector images, from
+    :func:`protocols._register_images`, which keeps no correction, and the
+    ladder positions with their masks and shares. A process builds it once
+    per (d, m)."""
     positions = _ladder_positions(d, m)[0]
     masks = np.array([position.used for position in positions])
-    # Outcomes with the same (shift, phase) pair share one operator: check each
-    # once, on tables stacked a chunk at a time, and read its sector images there.
+    # Outcomes with the same (shift, phase) pair share one correction.
     pairs = np.flatnonzero(masks.any(axis=0))
-    sector = cat_sector_indices(d, m)
-    chunk = max(1, CHECK_BLOCK_ENTRIES // d ** m)
-    spec = protocol_specs(d, m)[0]
-    corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
-    errors, targets, factors = zip(*(
-        _unitarity_error(corrections[start : start + chunk], sector)
-        for start in range(0, len(corrections), chunk)
-    ))
-    images = _image_rows(d, sector, pairs, np.concatenate(targets), np.concatenate(factors))
+    unitarity_err, images = _register_images(d, m)
 
     # The ladder positions are one stacked axis of the branches and the fold.
     lives = [position.live for position in positions]
@@ -213,13 +185,12 @@ def _check_plan(d: int, m: int) -> _CheckPlan:
     missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
 
     # Every k = 2 position has the d**2 live rows of both equivalence sides.
-    _, many_used, single = _equivalence_sides(d, m)
+    many_used, single = _equivalence_sides(d, m)
     many_rows = np.searchsorted(pairs, np.flatnonzero(many_used))
-    plan = _CheckPlan(pairs, max(errors), images, positions, lives, shares, masks,
-                      missing_shifts, lives.index(d * d), many_used, single, many_rows)
-    for array in (pairs, *images, shares, masks, many_used, single[0], *single[1], many_rows):
+    for array in (pairs, shares, masks, many_used, single[0], many_rows):
         array.setflags(write=False)
-    return plan
+    return _CheckPlan(pairs, unitarity_err, images, positions, lives, shares, masks,
+                      missing_shifts, lives.index(d * d), many_used, single, many_rows)
 
 
 def run_all_checks(

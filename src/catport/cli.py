@@ -9,7 +9,7 @@ as a stream, in the layout of ``json.dumps(doc, indent=2)``, rendering each
 receiver state that records share once.
 
 Exit codes: 0 success, 1 malformed flags or input, or output that cannot be
-written, 2 verification failure, 3 size-cap violation.
+written, 2 verification failure, 3 size-cap violation or out of memory.
 """
 
 from __future__ import annotations
@@ -443,6 +443,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 1
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -221,7 +221,8 @@ def cat_sector_correction(
 
     Off the repeated-digit sector the operator shifts every digit down with
     no phase, which keeps it monomial and unitary everywhere. There are d**2
-    of these per register; :func:`_pair_correction` builds each once.
+    of these per register, one per pair; :func:`_build_correction` is the
+    one caller.
     """
     # Every qudit gets the same one-qudit shift, tensored as monomial_tensor does.
     one = (np.arange(d, dtype=np.int64) - shift) % d
@@ -439,11 +440,53 @@ def _pair_correction(spec: ProtocolSpec, pair: int) -> MonomialOperator:
     corrections = _register_corrections(spec.d, spec.m)
     correction = corrections.get(pair)
     if correction is None:
-        shift, phase = divmod(pair, spec.d)
-        correction = corrections.setdefault(
-            pair, cat_sector_correction(spec.d, spec.m, phase, shift)
-        )
+        correction = corrections.setdefault(pair, _build_correction(spec.d, spec.m, pair))
     return correction
+
+
+def _build_correction(d: int, num_qudits: int, pair: int) -> MonomialOperator:
+    """A new correction for ``pair = shift * d + phase`` on ``num_qudits`` qudits."""
+    shift, phase = divmod(pair, d)
+    return cat_sector_correction(d, num_qudits, phase, shift)
+
+
+def _unitarity_error(correction: MonomialOperator) -> float:
+    """1.0 unless the correction's digit map is a bijection, and then the
+    largest ||f|**2 - 1| over its phase factors, because U^dagger U - I of a
+    monomial operator with a bijective digit map is diagonal with those
+    entries."""
+    if not np.array_equal(np.sort(correction.perm), np.arange(correction.perm.size)):
+        return 1.0
+    factors = correction.factors
+    deviations = factors.real ** 2
+    deviations += factors.imag ** 2
+    deviations -= 1.0
+    return float(np.abs(deviations).max())
+
+
+@lru_cache(maxsize=32)
+def _register_images(d: int, num_qudits: int):
+    """The worst :func:`_unitarity_error` of the register's d**2 corrections,
+    and their images on the sector as two read-only (d**2, d) tables: row p
+    holds, for pair p, the digit j of the sector ket |j..j> that its
+    correction sends |i..i> to, or -1 off the sector, and the factor.
+
+    Each correction is built, read and dropped in turn, so one at a time is
+    held and none is stored."""
+    sector = cat_sector_indices(d, num_qudits)
+    slots = np.empty((d * d, d), dtype=np.int64)
+    factors = np.empty((d * d, d), dtype=np.complex128)
+    error = 0.0
+    for pair in range(d * d):
+        correction = _build_correction(d, num_qudits, pair)
+        error = max(error, _unitarity_error(correction))
+        targets = correction.perm[sector]
+        slots[pair] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
+        factors[pair] = correction.factors[sector]
+        del correction  # before the next one is built
+    slots.setflags(write=False)
+    factors.setflags(write=False)
+    return error, (slots, factors)
 
 
 def apply_correction(record: OutcomeRecord) -> PureState:
@@ -565,26 +608,6 @@ def run_protocol(
     return OutcomeRecord(label, probability, pre, correction, post, fidelity)
 
 
-def _sector_images(spec: ProtocolSpec, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row p of two (d**2, d) tables, for each pair p in ``pairs``: the digit j
-    of the sector ket |j..j> that its real correction sends the receiver's
-    |i..i> to, or -1 off the sector, and the factor."""
-    sector = cat_sector_indices(spec.d, spec.m)
-    corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
-    targets = np.array([correction.perm[sector] for correction in corrections])
-    factors = np.array([correction.factors[sector] for correction in corrections])
-    return _image_rows(spec.d, sector, pairs, targets, factors)
-
-
-def _image_rows(d: int, sector: np.ndarray, pairs: np.ndarray, targets, factors):
-    """:func:`_sector_images` from its corrections' ``targets`` and ``factors`` at ``sector``."""
-    slots = np.zeros((d * d, d), dtype=np.int64)
-    images = np.zeros((d * d, d), dtype=np.complex128)
-    slots[pairs] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
-    images[pairs] = factors
-    return slots, images
-
-
 def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
     """Each pair in ``pairs`` after its real correction (``images``), for the
     cat coefficients ``coeffs`` or a stack of them on leading axes, as passed
@@ -611,12 +634,12 @@ def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
 
 
 def _equivalence_sides(d: int, m: int):
-    """The collective protocol on m particles, its live pairs' mask, and the
-    single side it must match as :func:`_equivalence_deltas` takes it."""
+    """The live pairs' mask of the collective protocol on m particles, and
+    the single side it must match as :func:`_equivalence_deltas` takes it."""
     kind = ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED
     specs = ProtocolSpec(kind, d, m), ProtocolSpec(ProtocolKind.BELL, d, 1)
     many, single = (np.bincount(_live_pairs(spec), minlength=d * d) > 0 for spec in specs)
-    return specs[0], many, (single, _sector_images(specs[1], np.flatnonzero(single)))
+    return many, (single, _register_images(d, 1)[1])
 
 
 def _equivalence_deltas(coeffs, branched, many, single) -> tuple[np.ndarray, np.ndarray]:
@@ -657,8 +680,8 @@ def barred_equivalence_check(
     check_size(d, m, max_dim)
     coeffs = cat.coeffs[None]
     branched = _pair_branches(coeffs, d * d)
-    many_spec, many_used, single = _equivalence_sides(d, m)
+    many_used, single = _equivalence_sides(d, m)
     pairs = np.flatnonzero(many_used)
-    many = _fold_corrections(coeffs, pairs, branched, _sector_images(many_spec, pairs))[:2]
+    many = _fold_corrections(coeffs, pairs, branched, _register_images(d, m)[1])[:2]
     prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, (many_used, *many), single)
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))

@@ -26,7 +26,6 @@ from catport.protocols import (
     ProtocolKind,
     ProtocolSpec,
     _pair_correction,
-    _sector_images,
     compose_joint_state,
     enumerate_outcomes,
     ladder_k,
@@ -48,13 +47,15 @@ def failures(d, m, seeds):
 
 @pytest.fixture()
 def fresh_corrections():
-    """Drop the stored corrections and the check plans that certify them
-    before and after, so a patched constructor reaches the checks and leaves
-    nothing behind for other tests."""
+    """Drop the stored corrections, the sector images and the check plans
+    that certify them before and after, so a patched constructor reaches the
+    checks and leaves nothing behind for other tests."""
     protocols._register_corrections.cache_clear()
+    protocols._register_images.cache_clear()
     checks._check_plan.cache_clear()
     yield
     protocols._register_corrections.cache_clear()
+    protocols._register_images.cache_clear()
     checks._check_plan.cache_clear()
 
 
@@ -199,6 +200,28 @@ def test_warm_plan_does_not_hide_a_mutated_constructor(request, monkeypatch, bro
     assert failed in failures(3, 2, 3)
 
 
+def swapped_shift_and_phase(build):
+    return lambda d, n, phase_power, shift: build(d, n, shift, phase_power)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, warm):
+    # Both the engine's stored corrections and the plan's sector images split
+    # a pair into (shift, phase) in one place, so a constructor that takes
+    # them the wrong way round fails both.
+    if warm:
+        assert failures(3, 2, 3) == set()
+    request.getfixturevalue("fresh_corrections")
+    monkeypatch.setattr(
+        protocols, "cat_sector_correction", swapped_shift_and_phase(protocols.cat_sector_correction)
+    )
+    assert "perfect_teleportation" in failures(3, 2, 3)
+    cat, sector = random_cat_state(3, 2, 0), cat_sector_indices(3, 2)
+    records = enumerate_outcomes(cat, protocol_specs(3, 2)[0])[:27]  # Bell's live rows
+    overlaps = [abs(np.vdot(cat.coeffs, protocols.apply_correction(r).amps[sector])) for r in records]
+    assert min(overlaps) < 0.99
+
+
 @pytest.mark.parametrize("d, m", [(3, 2), (2, 6), (5, 3)])
 def test_warm_plan_certifies_no_correction_again(monkeypatch, d, m):
     first = run_all_checks(d, m, 4)
@@ -208,20 +231,28 @@ def test_warm_plan_certifies_no_correction_again(monkeypatch, d, m):
         call = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: calls.append(name) or call(*args))
 
-    counted(checks, "_unitarity_error")
-    counted(checks, "_pair_correction")
+    counted(protocols, "_build_correction")
+    counted(protocols, "_unitarity_error")
     counted(protocols, "_pair_correction")
     assert run_all_checks(d, m, 4) == first
     assert calls == []
 
 
-@pytest.mark.parametrize("d, m", [(3, 2), (2, 3), (2, 6)])
-def test_plan_chunks_change_nothing(monkeypatch, fresh_corrections, d, m):
-    # One correction per chunk of the certificate, against the default chunks.
-    expected = run_all_checks(d, m, 3)
+def test_cold_plan_keeps_no_correction():
+    # The d**2 = 256 corrections of 4096 entries take 32 MB when stored.
+    checks._basis_error(16, 3)
     checks._check_plan.cache_clear()
-    monkeypatch.setattr(checks, "CHECK_BLOCK_ENTRIES", d**m)
-    assert run_all_checks(d, m, 3) == expected
+    protocols._register_images.cache_clear()
+    protocols._register_corrections.cache_clear()
+    tracemalloc.start()
+    try:
+        results = run_all_checks(16, 3, 1, max_dim=16**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert protocols._register_corrections(16, 3) == {}
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("d, m", [(2, 12), (3, 4)])
@@ -381,7 +412,8 @@ def per_cat_spec_loop(d, m, seeds):
     specs = protocol_specs(d, m)
     cats = [random_cat_state(d, m, seed) for seed in range(seeds)]
     counts = sum(np.bincount(row_pairs(spec), minlength=d * d) for spec in specs)
-    images = _sector_images(specs[0], np.flatnonzero(counts))
+    assert counts.all()  # every pair is live at some position
+    images = protocols._register_images(d, m)[1]
     sum_err = fidelity_err = selection_err = uniformity_err = phase_err = 0.0
     twisted = CatState(d, m, cats[0].coeffs * np.exp(0.73j))
     for spec in specs:
@@ -439,6 +471,7 @@ def test_no_seeds_rejected_before_anything_is_built(seeds):
 def test_memory_at_d2_m10():
     checks._basis_error.cache_clear()
     checks._check_plan.cache_clear()
+    protocols._register_images.cache_clear()
     protocols._register_corrections.cache_clear()
     tracemalloc.start()
     try:
@@ -459,8 +492,8 @@ def test_cap_is_checked_before_the_specs_are_listed():
 
 
 def per_operator_unitarity_error(correction):
-    """``_unitarity_error`` for one operator, as written before the
-    corrections were stacked."""
+    """``protocols._unitarity_error``, with an exact ``U^dagger U`` check
+    as well."""
     perm = correction.perm
     if not np.array_equal(np.sort(perm), np.arange(perm.size)):
         return 1.0
@@ -471,8 +504,8 @@ def per_operator_unitarity_error(correction):
 
 
 def per_pair_sector_images(spec, pairs):
-    """``_sector_images`` as written before the corrections were stacked:
-    one pair at a time."""
+    """The sector images of ``protocols._register_images``, read one pair at
+    a time off the engine's stored corrections."""
     d, sector = spec.d, cat_sector_indices(spec.d, spec.m)
     slots = np.zeros((d * d, d), dtype=np.int64)
     factors = np.zeros((d * d, d), dtype=np.complex128)
@@ -515,7 +548,7 @@ def test_stacked_certificates_match_the_per_cat_and_per_operator_ones(d, m, seed
     pairs = np.flatnonzero(sum(np.bincount(row_pairs(spec), minlength=d * d) for spec in specs))
     unitarity = max(per_operator_unitarity_error(_pair_correction(specs[0], p)) for p in pairs)
     assert results["correction_unitarity"] == unitarity
-    for new, old in zip(_sector_images(specs[0], pairs), per_pair_sector_images(specs[0], pairs)):
+    for new, old in zip(protocols._register_images(d, m)[1], per_pair_sector_images(specs[0], pairs)):
         assert np.array_equal(new, old)
     equivalence = 0.0
     for seed in range(seeds):

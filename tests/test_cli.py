@@ -254,6 +254,17 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 512. MiB for an array", ""])
+    def test_out_of_memory_is_one_line_and_exit_3(self, capsys, monkeypatch, message):
+        def exhausted(d, m, seeds, max_dim):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_all_checks", exhausted)
+        code, out, err = run_cli(capsys, ["verify", "--d", "2", "--m", "2"])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: out of memory{': ' + message if message else ''}\n"
+
     @pytest.mark.parametrize("command", ["run", "enumerate"])
     def test_size_cap_checked_before_drawing_the_cat(self, capsys, monkeypatch, command):
         def no_cat(*args, **kwargs):
