@@ -143,14 +143,10 @@ def cost_table(
     rows = []
     for d in d_values:
         for m in m_values:
-            specs = [
-                spec
-                for spec in protocol_specs(d, m)
-                if include_hybrids or spec.kind is not ProtocolKind.HYBRID
-            ]
-            if cross_check and _fits(d, m, max_dim):
-                for spec, observed in zip(protocol_specs(d, m), _observed_counts(d, m, 0)):
-                    if include_hybrids or spec.kind is not ProtocolKind.HYBRID:
-                        _cross_check(spec, observed)
-            rows.extend(cost_of(spec, cross_check=False) for spec in specs)
+            observed = _observed_counts(d, m, 0) if cross_check and _fits(d, m, max_dim) else None
+            for index, spec in enumerate(protocol_specs(d, m)):
+                if include_hybrids or spec.kind is not ProtocolKind.HYBRID:
+                    if observed is not None:
+                        _cross_check(spec, observed[index])
+                    rows.append(cost_of(spec, cross_check=False))
     return rows

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bases
-from .core import DEFAULT_MAX_DIM, random_cat_state
+from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_state
 from .protocols import (
     LadderPosition,
     _equivalence_deltas,
@@ -101,8 +101,7 @@ def _sector_family_error(d: int, block: int, width: int) -> float:
         for states in np.split(amplitudes[rows], np.cumsum(sizes)[:-1]):
             for product in (states.conj() @ states.T, states.T @ states.conj()):
                 error = max(error, float(np.abs(product - np.eye(len(product))).max()))
-    covered = np.sort(np.concatenate([support.ravel() for support in supports]))
-    return error if np.array_equal(covered, np.arange(d ** (block + 1))) else 1.0
+    return error if lists_each_index_once(supports, d ** (block + 1)) else 1.0
 
 
 # Twice sqrt(2) * gamma_2 with gamma_2 = 2u / (1 - 2u), u = 2**-53: the most
@@ -203,9 +202,10 @@ def run_all_checks(
     basis_err = _basis_error(d, m)
     (pairs, unitarity_err, images, positions, lives, shares, masks, missing_shifts,
      collective, many_used, single, many_rows) = _check_plan(d, m)
+    own_pairs = masks[:, None, pairs]
 
     def worst(errors):  # over positions x cats x ``pairs``, at each position's own pairs
-        return float(np.where(masks[:, None, pairs], errors, 0.0).max())
+        return float(np.where(own_pairs, errors, 0.0).max())
 
     sum_err = 0.0
     fidelity_err = 0.0

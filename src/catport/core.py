@@ -100,6 +100,19 @@ def index_to_digits(shape: RegisterShape, index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def lists_each_index_once(parts: Iterable[np.ndarray], total: int) -> bool:
+    """Whether the index arrays ``parts`` together list each of 0..total-1
+    exactly once. Each is range-checked before it marks its indices in a
+    1-byte table, because numpy wraps negative indices."""
+    seen, count = np.zeros(total, dtype=np.bool_), 0
+    for part in parts:
+        if part.size and (part.min() < 0 or part.max() >= total):
+            return False
+        seen[part] = True
+        count += part.size
+    return count == total and bool(seen.all())
+
+
 class PureState:
     """Immutable amplitude vector over a register.
 

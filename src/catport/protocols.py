@@ -27,8 +27,9 @@ family. The joint state (1/sqrt(d)) sum_{l,i} alpha_l |l..l>|i>|i..i> has
 only d**2 nonzero amplitudes, so each outcome's branch is a d-vector on the
 receiver's repeated-digit sector, fixed in closed form by the outcome's
 (shift, phase) pair. Outcomes with one pair share their branch, receiver
-states and correction, so there are at most d**2 of each. The dense
-projection survives only as a test oracle.
+states and correction, so there are at most d**2 of each; a record's post
+state is its own correction applied to its pre state. The dense projection
+survives only as a test oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .core import (
     ShapeMismatchError,
     cat_sector_indices,
     cat_to_pure_state,
+    lists_each_index_once,
     sector_state,
     tensor,
     uniform_superposition_chain,
@@ -132,9 +134,9 @@ class MonomialOperator:
         total = d ** num_qudits
         if perm.shape != (total,) or phase_exp.shape != (total,):
             raise ShapeMismatchError("permutation/phase tables must cover the register")
-        if perm.min() < 0 or perm.max() >= total:
-            raise ValueError("digit map targets outside the register")
-        if np.bincount(perm, minlength=total).max() != 1:
+        if not lists_each_index_once([perm], total):
+            if perm.min() < 0 or perm.max() >= total:
+                raise ValueError("digit map targets outside the register")
             raise ValueError("digit map is not a bijection")
         perm.setflags(write=False)
         phase_exp.setflags(write=False)
@@ -455,7 +457,7 @@ def _unitarity_error(correction: MonomialOperator) -> float:
     largest ||f|**2 - 1| over its phase factors, because U^dagger U - I of a
     monomial operator with a bijective digit map is diagonal with those
     entries."""
-    if not np.array_equal(np.sort(correction.perm), np.arange(correction.perm.size)):
+    if not lists_each_index_once([correction.perm], correction.perm.size):
         return 1.0
     factors = correction.factors
     deviations = factors.real ** 2
@@ -490,29 +492,22 @@ def _register_images(d: int, num_qudits: int):
 
 
 def apply_correction(record: OutcomeRecord) -> PureState:
-    """The receiver's state after applying the outcome's correction."""
+    """The receiver's state after the outcome's correction, as the engine builds it."""
     return record.correction.apply(record.bob_pre_correction)
 
 
 @lru_cache(maxsize=64)
-def _pair_tables(d: int) -> tuple[np.ndarray, ...]:
-    """Index and phase tables with one row per pair p = shift * d + phase.
-
-    Branch p reads alpha at ``source[p, i] = i - shift`` times
-    ``rephase[p, i] = omega**(-source * phase)``; its correction reads the
-    branch at ``gather[p, j] = j + shift`` times ``twist[p, j] =
-    omega**(j * phase)``, rounded as MonomialOperator rounds its phases.
-    """
+def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and phase tables with one row per pair p = shift * d + phase:
+    branch p reads alpha at ``source[p, i] = i - shift`` times
+    ``rephase[p, i] = omega**(-source * phase)``."""
     shift, phase = np.divmod(np.arange(d * d), d)
     digits = np.arange(d)
-    roots = np.exp(2j * np.pi * (digits / d))
     source = (digits - shift[:, None]) % d
-    gather = (digits + shift[:, None]) % d
-    rephase = roots[(source * phase[:, None]) % d].conj()
-    twist = roots[(digits * phase[:, None]) % d]
-    for array in (source, gather, rephase, twist):
+    rephase = np.exp(2j * np.pi * (digits / d))[(source * phase[:, None]) % d].conj()
+    for array in (source, rephase):
         array.setflags(write=False)
-    return source, gather, rephase, twist
+    return source, rephase
 
 
 def _pair_branches(coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +520,7 @@ def _pair_branches(coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
     a list of counts puts each count's rows on a new leading axis. Each row is
     rounded alike whatever the stack or the other counts around it.
     """
-    source, _, rephase, _ = _pair_tables(coeffs.shape[-1])
+    source, rephase = _pair_tables(coeffs.shape[-1])
     if isinstance(live, list):
         scale = np.reshape([math.sqrt(count) for count in live], (-1,) + (1,) * (coeffs.ndim + 1))
     else:
@@ -534,23 +529,22 @@ def _pair_branches(coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
     return branches, np.einsum("...ij,...ij->...i", branches.conj(), branches).real
 
 
-def _finish_pairs(cat: CatState, pairs: np.ndarray, branched, bob_shape: RegisterShape):
-    """(probability, pre state, post state, fidelity) of each pair in ``pairs``,
-    from ``branched = _pair_branches(...)``.
-
-    The correction acts on the sector as ``MonomialOperator.apply`` does:
-    entry j of the result is entry j + shift of the branch times
-    omega**(j * phase).
-    """
-    _, gather, _, twist = _pair_tables(cat.d)
+def _finish_pairs(cat: CatState, spec: ProtocolSpec, pairs: np.ndarray, branched, bob_shape):
+    """(probability, pre state, correction, post state, fidelity) of each pair
+    in ``pairs``, from ``branched = _pair_branches(...)``. The post state is
+    the pair's correction applied to the pre state, so a wrong correction
+    shows as a fidelity below 1."""
     branches, probabilities = branched
-    pre = branches[pairs] / np.sqrt(probabilities[pairs])[:, None]
-    post = pre[np.arange(pairs.size)[:, None], gather[pairs]] * twist[pairs]
+    pre_rows = branches[pairs] / np.sqrt(probabilities[pairs])[:, None]
+    corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
+    pres = [sector_state(bob_shape, row) for row in pre_rows]
+    posts = [correction.apply(pre) for correction, pre in zip(corrections, pres)]
+    sector = cat_sector_indices(spec.d, spec.m)
     # einsum rounds each row alike whatever the batch size; BLAS matmul does
     # not, and run_protocol must give enumerate_outcomes' record bit for bit.
-    fidelities = np.abs(np.einsum("ij,j->i", post, cat.coeffs.conj())) ** 2
-    states = ([sector_state(bob_shape, row) for row in rows] for rows in (pre, post))
-    return list(zip(probabilities[pairs].tolist(), *states, fidelities.tolist()))
+    on_sector = np.array([post.amps[sector] for post in posts])
+    fidelities = (np.abs(np.einsum("ij,j->i", on_sector, cat.coeffs.conj())) ** 2).tolist()
+    return list(zip(probabilities[pairs].tolist(), pres, corrections, posts, fidelities))
 
 
 def enumerate_outcomes(
@@ -569,17 +563,16 @@ def enumerate_outcomes(
     live, used = pairs.size, np.flatnonzero(np.bincount(pairs))
     bob_shape = RegisterShape(d, spec.m, max_dim=max_dim)
     branched = _pair_branches(cat.coeffs, live)
-    finished = dict(zip(used.tolist(), _finish_pairs(cat, used, branched, bob_shape)))
-    zero_state = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
-    zero = (0.0, zero_state, zero_state, 0.0)
+    finished = dict(zip(used.tolist(), _finish_pairs(cat, spec, used, branched, bob_shape)))
+    zero = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
     # Past the live rows come GHZ labels with n != 0, up to row d**3, then complement kets.
     last_ghz = d**3 if spec.kind is ProtocolKind.GHZ else 0
     records, pairs = [], pairs.tolist()
     for row, label in enumerate(_family_labels(spec)):
         pair = pairs[row] if row < live else row % (d * d) if row < last_ghz else 0
-        probability, pre, post, fidelity = finished[pair] if row < live else zero
-        correction = _pair_correction(spec, pair)
-        records.append(OutcomeRecord(label, probability, pre, correction, post, fidelity))
+        fields = finished[pair] if row < live else (
+            0.0, zero, _pair_correction(spec, pair), zero, 0.0)
+        records.append(OutcomeRecord(label, *fields))
     return records
 
 
@@ -600,12 +593,9 @@ def run_protocol(
     # after the live ones would add exactly nothing, so the pick is the same.
     cdf = np.cumsum(branched[1][pairs])
     position = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
-    pair = pairs[position : position + 1]
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    probability, pre, post, fidelity = _finish_pairs(cat, pair, branched, bob_shape)[0]
-    correction = _pair_correction(spec, int(pair[0]))
-    label = _live_label(spec, position)
-    return OutcomeRecord(label, probability, pre, correction, post, fidelity)
+    finished = _finish_pairs(cat, spec, pairs[position : position + 1], branched, bob_shape)[0]
+    return OutcomeRecord(_live_label(spec, position), *finished)
 
 
 def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):

@@ -30,6 +30,7 @@ from catport.protocols import (
     enumerate_outcomes,
     ladder_k,
     protocol_specs,
+    run_protocol,
 )
 
 CHECK_NAMES = [
@@ -208,7 +209,8 @@ def swapped_shift_and_phase(build):
 def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, warm):
     # Both the engine's stored corrections and the plan's sector images split
     # a pair into (shift, phase) in one place, so a constructor that takes
-    # them the wrong way round fails both.
+    # them the wrong way round fails both. The engine's records apply the
+    # correction they carry, so their fidelities show it too.
     if warm:
         assert failures(3, 2, 3) == set()
     request.getfixturevalue("fresh_corrections")
@@ -216,10 +218,14 @@ def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, w
         protocols, "cat_sector_correction", swapped_shift_and_phase(protocols.cat_sector_correction)
     )
     assert "perfect_teleportation" in failures(3, 2, 3)
-    cat, sector = random_cat_state(3, 2, 0), cat_sector_indices(3, 2)
-    records = enumerate_outcomes(cat, protocol_specs(3, 2)[0])[:27]  # Bell's live rows
-    overlaps = [abs(np.vdot(cat.coeffs, protocols.apply_correction(r).amps[sector])) for r in records]
-    assert min(overlaps) < 0.99
+    cat, spec = random_cat_state(3, 2, 0), protocol_specs(3, 2)[0]
+    records = enumerate_outcomes(cat, spec)[:27]  # Bell's live rows
+    sampled = [run_protocol(cat, spec, seed) for seed in range(10)]
+    for record in records + sampled:
+        applied = protocols.apply_correction(record).amps
+        assert np.array_equal(record.bob_post_correction.amps, applied)
+    assert min(record.fidelity for record in records) < 0.99
+    assert min(record.fidelity for record in sampled) < 0.99
 
 
 @pytest.mark.parametrize("d, m", [(3, 2), (2, 6), (5, 3)])
@@ -388,7 +394,7 @@ def test_matches_dense_checks(d, m, seeds):
 
 def one_cat_branches(coeffs, live):
     """``_pair_branches`` for one cat, as written before cats were stacked."""
-    source, _, rephase, _ = protocols._pair_tables(coeffs.size)
+    source, rephase = protocols._pair_tables(coeffs.size)
     branches = coeffs[source] * rephase / math.sqrt(live)
     return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
 

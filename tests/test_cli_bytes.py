@@ -197,6 +197,7 @@ def test_closed_pipe_exits_1_without_traceback():
     proc = _qt(subprocess.PIPE)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err.splitlines() == ["error: cannot write stdout: Broken pipe"]

@@ -77,6 +77,9 @@ def assert_matches_dense(cat, spec):
         assert abs(record.probability - p) < TOL
         assert np.abs(record.bob_pre_correction.amps - pre).max() < TOL
         assert np.abs(record.bob_post_correction.amps - post).max() < TOL
+        # The post state is the record's own correction applied, bit for bit.
+        applied = protocols.apply_correction(record).amps
+        assert np.array_equal(record.bob_post_correction.amps, applied)
         if p > PROB_FLOOR:
             assert abs(record.fidelity - 1.0) < 1e-10
 
