@@ -134,9 +134,9 @@ class MonomialOperator:
         total = d ** num_qudits
         if perm.shape != (total,) or phase_exp.shape != (total,):
             raise ShapeMismatchError("permutation/phase tables must cover the register")
+        if perm.min() < 0 or perm.max() >= total:
+            raise ValueError("digit map targets outside the register")
         if not lists_each_index_once([perm], total):
-            if perm.min() < 0 or perm.max() >= total:
-                raise ValueError("digit map targets outside the register")
             raise ValueError("digit map is not a bijection")
         perm.setflags(write=False)
         phase_exp.setflags(write=False)

@@ -224,8 +224,11 @@ def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, w
     for record in records + sampled:
         applied = protocols.apply_correction(record).amps
         assert np.array_equal(record.bob_post_correction.amps, applied)
-    assert min(record.fidelity for record in records) < 0.99
-    assert min(record.fidelity for record in sampled) < 0.99
+    sector = cat_sector_indices(3, 2)
+    for group in (records, sampled):
+        overlaps = [abs(np.vdot(cat.coeffs, protocols.apply_correction(r).amps[sector])) for r in group]
+        assert min(overlaps) < 0.99
+        assert min(record.fidelity for record in group) < 0.99
 
 
 @pytest.mark.parametrize("d, m", [(3, 2), (2, 6), (5, 3)])
