@@ -20,14 +20,16 @@ count; the first block also carries the first cat with a global phase. The
 ladder positions, each shared by its protocols, are one more stacked axis:
 a block takes one branch pass and one fold, whose k = 2 slice is also the
 equivalence's collective side. Every row is rounded as it would be alone,
-so the results do not depend on the blocks.
+so the results do not depend on the blocks. Completeness sums add live rows
+in row order with ``np.cumsum``, one rounding each on every Python; the
+builtin ``sum`` compensates from 3.12 on, and ``np.sum`` adds pairwise.
 
 The d**2 corrections of a register are built one at a time by
 :func:`protocols._register_images`, which certifies each, reads its sector
-images and drops it. That, the ladder positions and the equivalence sides
-depend on (d, m) alone and are built once per (d, m) in :func:`_check_plan`,
-like the basis certificate in :func:`_basis_error`; a call does only its
-cat blocks.
+images and drops it. That and the ladder positions, whose masks give both
+equivalence sides, depend on (d, m) alone and are built once per (d, m) in
+:func:`_check_plan`, like the basis certificate in :func:`_basis_error`; a
+call does only its cat blocks.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_state
 from .protocols import (
     LadderPosition,
     _equivalence_deltas,
-    _equivalence_sides,
     _fold_corrections,
     _ladder_positions,
     _pair_branches,
@@ -142,7 +143,8 @@ def _basis_error(d: int, m: int) -> float:
 
 # Branch amplitudes checked together: d**3 per cat and ladder position. A
 # block's arrays take a small multiple of 16 bytes per amplitude, so memory
-# is flat in the seeds.
+# is flat in the seeds. The completeness sums gather a sixteenth of that, or
+# one cat's live rows if more, at a time.
 CHECK_BLOCK_ENTRIES = 1 << 18
 
 
@@ -158,7 +160,6 @@ class _CheckPlan(NamedTuple):
     masks: np.ndarray
     missing_shifts: int
     collective: int
-    many_used: np.ndarray
     single: tuple
     many_rows: np.ndarray
 
@@ -183,13 +184,14 @@ def _check_plan(d: int, m: int) -> _CheckPlan:
     # has shift s; with no such live row, it would land on a forbidden one.
     missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
 
-    # Every k = 2 position has the d**2 live rows of both equivalence sides.
-    many_used, single = _equivalence_sides(d, m)
-    many_rows = np.searchsorted(pairs, np.flatnonzero(many_used))
-    for array in (pairs, shares, masks, many_used, single[0], many_rows):
+    # GHZ(m), or barred at m = 1, is the first position with d**2 live rows.
+    collective = lives.index(d * d)
+    single = (_ladder_positions(d, 1)[0][0].used, _register_images(d, 1)[1])
+    many_rows = np.searchsorted(pairs, np.flatnonzero(masks[collective]))
+    for array in (pairs, shares, masks, many_rows):
         array.setflags(write=False)
     return _CheckPlan(pairs, unitarity_err, images, positions, lives, shares, masks,
-                      missing_shifts, lives.index(d * d), many_used, single, many_rows)
+                      missing_shifts, collective, single, many_rows)
 
 
 def run_all_checks(
@@ -201,7 +203,7 @@ def run_all_checks(
     check_size(d, m, max_dim)
     basis_err = _basis_error(d, m)
     (pairs, unitarity_err, images, positions, lives, shares, masks, missing_shifts,
-     collective, many_used, single, many_rows) = _check_plan(d, m)
+     collective, single, many_rows) = _check_plan(d, m)
     own_pairs = masks[:, None, pairs]
 
     def worst(errors):  # over positions x cats x ``pairs``, at each position's own pairs
@@ -233,10 +235,13 @@ def run_all_checks(
             twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
             phase_err = max(phase_err, *map(worst, twisted))
         # Row order, as a running sum over the outcome records adds them.
-        for position, (_, _, columns) in zip(branched[1], positions):
+        for position, (live, _, columns) in zip(branched[1], positions):
+            chunk = max(1, (CHECK_BLOCK_ENTRIES >> 4) // live)
             for live_pairs in columns:
-                sums = (sum(memoryview(row[live_pairs])) for row in position[:cats])
-                sum_err = max(sum_err, *(abs(total - 1.0) for total in sums))
+                for first in range(0, cats, chunk):
+                    rows = position[first : min(first + chunk, cats), live_pairs]
+                    totals = np.cumsum(rows, axis=1, out=rows)[:, -1]
+                    sum_err = max(sum_err, float(np.abs(totals - 1.0).max()))
         uniformity_err = max(uniformity_err, worst(np.abs(probabilities[:, :cats] - shares)))
         fidelity_err = max(fidelity_err, worst(np.abs(fidelities[:, :cats] - 1.0)))
         selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
@@ -252,7 +257,8 @@ def run_all_checks(
         signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
 
         shared = (branched[0][collective, :cats], branched[1][collective, :cats])
-        many = (many_used, *(side[collective][:cats, many_rows] for side in (folded, leaked)))
+        many = (masks[collective],
+                *(side[collective][:cats, many_rows] for side in (folded, leaked)))
         prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, many, single)
         equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
 

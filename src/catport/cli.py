@@ -2,11 +2,11 @@
 
 Subcommands: ``run`` (sample one outcome), ``enumerate`` (all outcomes),
 ``verify`` (invariant suites), ``cost`` (classical-communication table).
-Output is JSON or CSV, byte-stable for identical invocations: floats are
-rendered with Python's shortest round-trip representation and complex
-amplitudes as [re, im] pairs. ``run`` and ``enumerate`` write their output
-as a stream, in the layout of ``json.dumps(doc, indent=2)``, rendering each
-receiver state that records share once.
+Output is JSON or CSV, byte-stable for identical invocations on any Python
+(``verify`` sums in one fixed order): floats are rendered as shortest
+round-trip decimals and complex amplitudes as [re, im] pairs. ``run`` and
+``enumerate`` stream their output in the layout of ``json.dumps(doc,
+indent=2)``, rendering each receiver state that records share once.
 
 Exit codes: 0 success, 1 malformed flags or input, or output that cannot be
 written, 2 verification failure, 3 size-cap violation or out of memory.

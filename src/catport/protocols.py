@@ -623,15 +623,6 @@ def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
     return folded, leaked, fidelities
 
 
-def _equivalence_sides(d: int, m: int):
-    """The live pairs' mask of the collective protocol on m particles, and
-    the single side it must match as :func:`_equivalence_deltas` takes it."""
-    kind = ProtocolKind.GHZ if m >= 2 else ProtocolKind.BARRED
-    specs = ProtocolSpec(kind, d, m), ProtocolSpec(ProtocolKind.BELL, d, 1)
-    many, single = (np.bincount(_live_pairs(spec), minlength=d * d) > 0 for spec in specs)
-    return many, (single, _register_images(d, 1)[1])
-
-
 def _equivalence_deltas(coeffs, branched, many, single) -> tuple[np.ndarray, np.ndarray]:
     """The largest probability delta and the largest state delta of
     :func:`barred_equivalence_check`, one entry per cat of the stack
@@ -670,7 +661,10 @@ def barred_equivalence_check(
     check_size(d, m, max_dim)
     coeffs = cat.coeffs[None]
     branched = _pair_branches(coeffs, d * d)
-    many_used, single = _equivalence_sides(d, m)
+    # GHZ(m), or barred at m = 1, is the first ladder position with d**2 live rows.
+    positions = _ladder_positions(d, m)[0]
+    many_used = next(position.used for position in positions if position.live == d * d)
+    single = (_ladder_positions(d, 1)[0][0].used, _register_images(d, 1)[1])
     pairs = np.flatnonzero(many_used)
     many = _fold_corrections(coeffs, pairs, branched, _register_images(d, m)[1])[:2]
     prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, (many_used, *many), single)

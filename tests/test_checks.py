@@ -231,6 +231,39 @@ def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, w
         assert min(record.fidelity for record in group) < 0.99
 
 
+@pytest.fixture()
+def fresh_ladder():
+    """Drop the live-pair columns, the ladder positions and the check plans
+    built from them before and after, so a patched column reaches both
+    equivalence sides and leaves nothing behind for other tests."""
+    caches = (protocols._ladder_pairs, protocols._ladder_positions, checks._check_plan)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_equivalence_sides_are_the_ladder_masks(monkeypatch, fresh_ladder):
+    # A GHZ column that repeats pair 0 where pair 1 was leaves pair 1 live on
+    # the single-particle side only. Both the one-cat check and the stacked
+    # suite read that mask from the ladder positions, and nothing else fails.
+    ladder_pairs = protocols._ladder_pairs
+
+    def repeated(d, k, ghz):
+        pairs = ladder_pairs(d, k, ghz)
+        if ghz:
+            pairs = pairs.copy()
+            pairs[1] = pairs[0]
+            pairs.setflags(write=False)
+        return pairs
+
+    monkeypatch.setattr(protocols, "_ladder_pairs", repeated)
+    report = protocols.barred_equivalence_check(random_cat_state(3, 2, 0), 3, 2)
+    assert report.max_state_delta == 1.0
+    assert failures(3, 2, 2) == {"barred_equivalence"}
+
+
 @pytest.mark.parametrize("d, m", [(3, 2), (2, 6), (5, 3)])
 def test_warm_plan_certifies_no_correction_again(monkeypatch, d, m):
     first = run_all_checks(d, m, 4)
@@ -597,6 +630,31 @@ def test_blocks_change_nothing(monkeypatch, d, m, block_cats):
     monkeypatch.setattr(checks, "random_cat_state", recorded)
     assert run_all_checks(d, m, 7) == expected
     assert drawn == list(range(7))
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 and later on floats: a running sum
+    with Neumaier's compensation, added in at the end."""
+    total, compensation = start, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_completeness_is_the_same_on_every_python(monkeypatch):
+    # Row order with one rounding per row, as Python 3.10 and 3.11 sum floats,
+    # whichever ``sum`` the module would see.
+    expected = {point: run_all_checks(*point) for point in [(3, 2, 3), (2, 6, 5), (5, 3, 5)]}
+    monkeypatch.setattr(checks, "sum", compensated_sum, raising=False)
+    for point, results in expected.items():
+        assert run_all_checks(*point) == results, point
+    completeness = {r.name: r.max_error for r in expected[5, 3, 5]}["probability_completeness"]
+    assert completeness == 1.2212453270876722e-14
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
