@@ -205,8 +205,8 @@ def sector_terms(d: int, block: int, labels) -> tuple[np.ndarray, np.ndarray]:
 
     A label is a row of components in [0, d): (alpha,) for the Fourier state
     on one qudit (block 0), (n, m) for the barred Bell state and (n, m, k)
-    for the block-GHZ state. A row's kets are distinct. Amplitudes come from
-    a table of the scalar ``unit_phase(e, d) / math.sqrt(d)``, bit for bit.
+    for the block-GHZ state. A row's kets are distinct, in ascending order.
+    Amplitudes come from a table of ``unit_phase(e, d) / math.sqrt(d)``, bit for bit.
     """
     labels = np.asarray(labels, dtype=np.int64)
     j = np.arange(d)

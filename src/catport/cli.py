@@ -2,11 +2,12 @@
 
 Subcommands: ``run`` (sample one outcome), ``enumerate`` (all outcomes),
 ``verify`` (invariant suites), ``cost`` (classical-communication table).
-Output is JSON or CSV, byte-stable for identical invocations on any Python
-(``verify`` sums in one fixed order): floats are rendered as shortest
-round-trip decimals and complex amplitudes as [re, im] pairs. ``run`` and
-``enumerate`` stream their output in the layout of ``json.dumps(doc,
-indent=2)``, rendering each receiver state that records share once.
+``run`` and ``enumerate`` are one command with two record sources, and
+``verify`` and ``cost`` share one table writer. Output is JSON or CSV,
+byte-stable for identical invocations on any Python (``verify`` sums in one
+fixed order): floats are rendered as shortest round-trip decimals and
+complex amplitudes as [re, im] pairs. Records stream in the layout of
+``json.dumps(doc, indent=2)``, each shared receiver state rendered once.
 
 Exit codes: 0 success, 1 malformed flags or input, or output that cannot be
 written, 2 verification failure, 3 size-cap violation or out of memory.
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -296,8 +297,12 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
         raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _emit_table(args, rows: list[dict], doc) -> None:
+    """Write ``rows``, dicts with one key order, as a CSV table, or ``doc`` as JSON."""
+    if args.format == "csv":
+        _emit(_csv_text(list(rows[0]), [list(row.values()) for row in rows]), args.out)
+    else:
+        _emit([json.dumps(doc, indent=2) + "\n"], args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,33 +354,25 @@ def _require_dm(args) -> None:
         raise CliError("--d and --m are required")
 
 
-def _cmd_run(args) -> int:
-    cat = _resolve_cat(args)
-    spec = _build_spec(args)
-    bits = cost_of(spec, cross_check=False).classical_bits
-    record = run_protocol(cat, spec, args.seed, max_dim=args.max_dim)
-    if args.format == "csv":
-        _emit(_records_csv([record], bits), args.out)
-    else:
-        record_pieces = next(_record_texts([record], bits, 1))
-        _emit(_document(args, spec, cat, bits, {"record": record_pieces}), args.out)
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_outcomes(args) -> int:
     cat = _resolve_cat(args)
     spec = _build_spec(args)
     cost = cost_of(spec, cross_check=False)
     bits = cost.classical_bits
-    records = enumerate_outcomes(cat, spec, max_dim=args.max_dim)
+    # The JSON pieces are lazy, so a CSV call renders no receiver state.
+    if args.command == "run":
+        records = [run_protocol(cat, spec, args.seed, max_dim=args.max_dim)]
+        tail = {"record": chain.from_iterable(_record_texts(records, bits, 1))}
+    else:
+        records = enumerate_outcomes(cat, spec, max_dim=args.max_dim)
+        tail = {
+            "nonzero_count": [json.dumps(cost.nonzero_outcome_count)],
+            "records": _json_list(_record_texts(records, bits, 2), 1),
+        }
     if args.format == "csv":
         _emit(_records_csv(records, bits), args.out)
-        return 0
-    tail = {
-        "nonzero_count": [json.dumps(cost.nonzero_outcome_count)],
-        "records": _json_list(_record_texts(records, bits, 2), 1),
-    }
-    _emit(_document(args, spec, cat, bits, tail), args.out)
+    else:
+        _emit(_document(args, spec, cat, bits, tail), args.out)
     return 0
 
 
@@ -384,18 +381,14 @@ def _cmd_verify(args) -> int:
     results = run_all_checks(args.d, args.m, args.seeds, max_dim=args.max_dim)
     ok = all(r.passed for r in results)
     checks = [r.to_json() for r in results]
-    if args.format == "csv":
-        _emit(_csv_text(list(checks[0]), [list(c.values()) for c in checks]), args.out)
-    else:
-        doc = {
-            "ok": ok,
-            "d": args.d,
-            "m": args.m,
-            "seeds": args.seeds,
-            "failures": [r.name for r in results if not r.passed],
-            "checks": checks,
-        }
-        _emit([_json_text(doc)], args.out)
+    _emit_table(args, checks, {
+        "ok": ok,
+        "d": args.d,
+        "m": args.m,
+        "seeds": args.seeds,
+        "failures": [r.name for r in results if not r.passed],
+        "checks": checks,
+    })
     return 0 if ok else 2
 
 
@@ -420,16 +413,13 @@ def _cmd_cost(args) -> int:
         for spec in protocol_specs(args.d, args.m)
         if (spec.kind is ProtocolKind.HYBRID) == args.hybrids
     ]
-    if args.format == "csv":
-        _emit(_csv_text(list(docs[0]), [list(doc.values()) for doc in docs]), args.out)
-    else:
-        _emit([_json_text(docs)], args.out)
+    _emit_table(args, docs, docs)
     return 0
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "enumerate": _cmd_enumerate,
+    "run": _cmd_outcomes,
+    "enumerate": _cmd_outcomes,
     "verify": _cmd_verify,
     "cost": _cmd_cost,
 }

@@ -126,6 +126,21 @@ class TestMutations:
         monkeypatch.setattr(bases, "sector_terms", moved)
         assert "basis_orthonormality" in failures(3, 2, 3)
 
+    # Row 0's first two terms trade places, kets and amplitudes together: the
+    # same state, listed out of ket order. The certificate reads each row in
+    # ket order, as the dense vector lists it, and must not re-sort it.
+    @pytest.mark.parametrize("d, block, width", [(3, 2, 2), (3, 2, 3), (5, 0, 1)])
+    def test_row_out_of_ket_order_fails_its_family(self, monkeypatch, d, block, width):
+        build = bases.sector_terms
+
+        def swapped(d, block, labels):
+            kets, amplitudes = build(d, block, labels)
+            kets[0, :2], amplitudes[0, :2] = kets[0, 1::-1].copy(), amplitudes[0, 1::-1].copy()
+            return kets, amplitudes
+
+        monkeypatch.setattr(bases, "sector_terms", swapped)
+        assert checks._sector_family_error(d, block, width) == 1.0
+
     def test_single_particle_correction_phase_off_by_one(self, monkeypatch, fresh_corrections):
         # Only the one-qudit register's corrections are wrong, and only the
         # single-particle side of the equivalence applies them: its images

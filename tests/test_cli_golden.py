@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from catport import cli
 from catport.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -101,6 +102,19 @@ def test_cli_matches_golden(name):
         for got_row, want_row in zip(got_rows, want_rows):
             assert len(got_row) == len(want_row)
             assert all(map(_same_cell, got_row, want_row)), f"{got_row} != {want_row}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith(("run", "enumerate"))))
+def test_records_render_only_their_format(monkeypatch, name):
+    # A CSV call renders no receiver state and a JSON call no CSV row, so a
+    # large CSV run never holds the d**m amplitude texts.
+    unused = "_pairs_text" if name.endswith(".csv") else "_records_csv"
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called {unused}")
+
+    monkeypatch.setattr(cli, unused, forbidden)
+    assert _run(CASES[name]) == (0, (GOLDEN / name).read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
