@@ -47,6 +47,10 @@ def _cases() -> dict[str, list[str]]:
         for fmt in ("json", "csv"):
             cases[f"verify-{d}-{m}.{fmt}"] = ["verify", "--d", str(d), "--m", str(m),
                                               "--seeds", "5", "--format", fmt]
+    # Two cat blocks, of 2048 and 52 cats.
+    for fmt in ("json", "csv"):
+        cases[f"verify-4-2.{fmt}"] = ["verify", "--d", "4", "--m", "2", "--seeds", "2100",
+                                      "--format", fmt]
     return cases
 
 
