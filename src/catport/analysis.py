@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DEFAULT_MAX_DIM, SizeCapError, random_cat_state
+from .core import DEFAULT_MAX_DIM, SizeCapError, random_cat_coeffs
 from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
@@ -74,7 +74,7 @@ def _observed_counts(d: int, m: int, seed: int) -> list[int]:
     stored live-pair column counted once."""
     positions, slots = _ladder_positions(d, m)
     lives = [position.live for position in positions]
-    branched = _pair_branches(random_cat_state(d, m, seed).coeffs, lives)
+    branched = _pair_branches(random_cat_coeffs(d, [seed])[0], lives)
     counts = [
         [int(np.count_nonzero(probabilities[column] > PROB_FLOOR)) for column in position.columns]
         for position, probabilities in zip(positions, branched[1])

@@ -14,22 +14,25 @@ term tables of ``bases.sector_terms`` and the index arrays of
 ``bases.complement_indices``, on the pair column of each protocol's live
 outcome rows, and on the corrections' permutations and phase factors.
 
-The seeded cats are stacked one row each, in blocks of a fixed number of
-branch amplitudes over all ladder positions, so memory is flat in the seed
-count; the first block also carries the first cat with a global phase. The
-ladder positions, each shared by its protocols, are one more stacked axis:
-a block takes one branch pass and one fold, whose k = 2 slice is also the
-equivalence's collective side. Every row is rounded as it would be alone,
-so the results do not depend on the blocks. Completeness sums add live rows
-in row order with ``np.cumsum``, one rounding each on every Python; the
-builtin ``sum`` compensates from 3.12 on, and ``np.sum`` adds pairwise.
+The seeded cats come in blocks of a fixed number of branch amplitudes over
+all ladder positions, so memory is flat in the seed count. Each block is
+drawn as one array by :func:`core.random_cat_coeffs`, one row per cat, and
+no cat state is built; the first block also carries the first cat with a
+global phase. The ladder positions, each shared by its protocols, are one
+more stacked axis: a block takes one branch pass and one fold, whose k = 2
+slice is also the equivalence's collective side. Every row is rounded as it
+would be alone, so the results do not depend on the blocks. Completeness
+sums add live rows in row order with ``np.cumsum``, one rounding each on
+every Python; the builtin ``sum`` compensates from 3.12 on, and ``np.sum``
+adds pairwise.
 
 The d**2 corrections of a register are built one at a time by
 :func:`protocols._register_images`, which certifies each, reads its sector
-images and drops it. That and the ladder positions, whose masks give both
-equivalence sides, depend on (d, m) alone and are built once per (d, m) in
-:func:`_check_plan`, like the basis certificate in :func:`_basis_error`; a
-call does only its cat blocks.
+images and drops it. The fold tables read from those images, for the
+collective side and the single-particle side, and the ladder positions,
+whose masks give both equivalence sides, depend on (d, m) alone and are
+built once per (d, m) in :func:`_check_plan`, like the basis certificate in
+:func:`_basis_error`; a call does only its cat blocks.
 """
 
 from __future__ import annotations
@@ -42,14 +45,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bases
-from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_state
+from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_coeffs
 from .protocols import (
+    FoldTables,
     LadderPosition,
     _equivalence_deltas,
     _fold_corrections,
+    _fold_tables,
     _ladder_positions,
     _pair_branches,
     _register_images,
+    _single_side,
     check_size,
     protocol_specs,
 )
@@ -150,26 +156,26 @@ CHECK_BLOCK_ENTRIES = 1 << 18
 class _CheckPlan(NamedTuple):
     """What :func:`run_all_checks` reads at (d, m) whatever the cats."""
 
-    pairs: np.ndarray
     unitarity_err: float
-    images: tuple[np.ndarray, np.ndarray]
+    fold: FoldTables
     positions: tuple[LadderPosition, ...]
     lives: list[int]
     shares: np.ndarray
     masks: np.ndarray
+    own_pairs: np.ndarray
     missing_shifts: int
     collective: int
-    single: tuple
+    single: tuple[np.ndarray, FoldTables]
     many_rows: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def _check_plan(d: int, m: int) -> _CheckPlan:
     """The work of :func:`run_all_checks` that depends on (d, m) alone: the
-    corrections' certificate and sector images, from
-    :func:`protocols._register_images`, which keeps no correction, and the
-    ladder positions with their masks and shares. A process builds it once
-    per (d, m)."""
+    corrections' certificate, from :func:`protocols._register_images`, which
+    keeps no correction, the fold tables of the used pairs and of the
+    single-particle side, and the ladder positions with their masks and
+    shares. A process builds it once per (d, m)."""
     positions = _ladder_positions(d, m)[0]
     masks = np.array([position.used for position in positions])
     # Outcomes with the same (shift, phase) pair share one correction.
@@ -185,12 +191,12 @@ def _check_plan(d: int, m: int) -> _CheckPlan:
 
     # GHZ(m), or barred at m = 1, is the first position with d**2 live rows.
     collective = lives.index(d * d)
-    single = (_ladder_positions(d, 1)[0][0].used, _register_images(d, 1)[1])
     many_rows = np.searchsorted(pairs, np.flatnonzero(masks[collective]))
-    for array in (pairs, shares, masks, many_rows):
+    own_pairs = masks[:, None, pairs]
+    for array in (pairs, shares, masks, own_pairs, many_rows):
         array.setflags(write=False)
-    return _CheckPlan(pairs, unitarity_err, images, positions, lives, shares, masks,
-                      missing_shifts, collective, single, many_rows)
+    return _CheckPlan(unitarity_err, _fold_tables(pairs, images), positions, lives, shares,
+                      masks, own_pairs, missing_shifts, collective, _single_side(d), many_rows)
 
 
 def run_all_checks(
@@ -201,9 +207,9 @@ def run_all_checks(
     # Before anything is built: listing the m + 4 specs of a huge register is slow.
     check_size(d, m, max_dim)
     basis_err = _basis_error(d, m)
-    (pairs, unitarity_err, images, positions, lives, shares, masks, missing_shifts,
+    (unitarity_err, fold, positions, lives, shares, masks, own_pairs, missing_shifts,
      collective, single, many_rows) = _check_plan(d, m)
-    own_pairs = masks[:, None, pairs]
+    pairs = fold.pairs
 
     def worst(errors):  # over positions x cats x ``pairs``, at each position's own pairs
         return float(np.where(own_pairs, errors, 0.0).max())
@@ -218,17 +224,13 @@ def run_all_checks(
     receiver = np.arange(d)
     block_cats = max(1, CHECK_BLOCK_ENTRIES // (d ** 3 * len(lives)))
     for start in range(0, seeds, block_cats):
-        block = [
-            random_cat_state(d, m, seed).coeffs
-            for seed in range(start, min(start + block_cats, seeds))
-        ]
+        block = random_cat_coeffs(d, range(start, min(start + block_cats, seeds)))
         cats = len(block)
         # The first block also carries the first cat with a global phase, last.
-        stack = np.array(block + [block[0] * np.exp(0.73j)] if start == 0 else block)
-        norms = [float(np.vdot(coeffs, coeffs).real) for coeffs in block]
+        stack = np.concatenate([block, block[:1] * np.exp(0.73j)]) if start == 0 else block
         # At each position the first d**k rows can occur, each with probability 1/d**k.
         branched = _pair_branches(stack, lives)
-        folded, leaked, fidelities = _fold_corrections(stack, pairs, branched, images)
+        folded, leaked, fidelities = _fold_corrections(stack, branched, fold)
         probabilities = branched[1][..., pairs]
         if start == 0:
             twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
@@ -243,7 +245,9 @@ def run_all_checks(
                     sum_err = max(sum_err, float(np.abs(totals - 1.0).max()))
         uniformity_err = max(uniformity_err, worst(np.abs(probabilities[:, :cats] - shares)))
         fidelity_err = max(fidelity_err, worst(np.abs(fidelities[:, :cats] - 1.0)))
-        selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
+        if missing_shifts:  # else every term is 0.0
+            norms = (float(np.vdot(coeffs, coeffs).real) for coeffs in block)
+            selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
 
         # The receiver's reduced state from the d**2 nonzero joint amplitudes
         # alpha_l / sqrt(d) on sender (l..l, i) and receiver (i..i), traced over
@@ -260,6 +264,9 @@ def run_all_checks(
                 *(side[collective][:cats, many_rows] for side in (folded, leaked)))
         prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, many, single)
         equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
+        # Free the block's branches and fold, with the equivalence's views and
+        # copies of them, before the next block builds its own.
+        del branched, folded, shared, many
 
     return [
         _result("basis_orthonormality", basis_err, 1e-12),

@@ -291,14 +291,30 @@ def cat_to_pure_state(cat: CatState, *, max_dim: int = DEFAULT_MAX_DIM) -> PureS
     return sector_state(RegisterShape(cat.d, cat.m, max_dim=max_dim), cat.coeffs)
 
 
+def random_cat_coeffs(d: int, seeds: Iterable[int]) -> np.ndarray:
+    """Haar-like random cat coefficients as an (n, d) array, one row per
+    seed: d complex Gaussians, the real parts drawn first, divided by their
+    norm.
+
+    Each seed's generator fills its row's real and imaginary parts in one
+    call, and each row is divided by its own ``np.linalg.norm``, so a row's
+    bits do not depend on the seeds drawn with it.
+    """
+    seeds = list(seeds)
+    parts = np.empty((len(seeds), 2, d))
+    for seed, row in zip(seeds, parts):
+        np.random.default_rng(seed).standard_normal(out=row)
+    z = parts[:, 0] + 1j * parts[:, 1]
+    z /= np.array([np.linalg.norm(row) for row in z])[:, None]
+    return z
+
+
 def random_cat_state(d: int, m: int, seed: int) -> CatState:
-    """Haar-like random cat coefficients (complex Gaussians, normalized).
+    """The cat whose coefficients are ``random_cat_coeffs(d, [seed])``.
 
     Deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return CatState(d, m, z / np.linalg.norm(z))
+    return CatState(d, m, random_cat_coeffs(d, [seed])[0])
 
 
 def uniform_superposition_chain(

@@ -106,7 +106,14 @@ def ladder_k(spec: ProtocolSpec) -> int:
 
 def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
     """Every protocol valid at (d, m) in ladder order: Bell, GHZ (m >= 2),
-    barred, then the hybrids k = 2..m+1."""
+    barred, then the hybrids k = 2..m+1. Each call returns a new list of the
+    same frozen specs."""
+    return list(_protocol_specs(d, m))
+
+
+# Typed, so a numpy-integer call keeps its specs' numpy fields to itself.
+@lru_cache(maxsize=128, typed=True)
+def _protocol_specs(d: int, m: int) -> tuple[ProtocolSpec, ...]:
     specs = [ProtocolSpec(ProtocolKind.BELL, d, m)]
     if m >= 2:
         specs.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
@@ -114,7 +121,7 @@ def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
     specs.extend(
         ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2)
     )
-    return specs
+    return tuple(specs)
 
 
 class MonomialOperator:
@@ -598,29 +605,61 @@ def run_protocol(
     return OutcomeRecord(_live_label(spec, position), *finished)
 
 
-def _fold_corrections(coeffs: np.ndarray, pairs: np.ndarray, branched, images):
-    """Each pair in ``pairs`` after its real correction (``images``), for the
-    cat coefficients ``coeffs`` or a stack of them on leading axes, as passed
-    to ``_pair_branches`` (``branched`` may add ladder positions in front):
-    the amplitudes left on the sector |i..i>, one row per pair, the norm sent
-    off it, and the fidelity with the cat. The arithmetic is the engine's, so
-    correct corrections give its fidelities bit for bit, per cat as if alone."""
-    branches, probabilities = branched
+class FoldTables(NamedTuple):
+    """What :func:`_fold_corrections` reads of the corrections of ``pairs``:
+    their sector factors, one row per pair, the mask of entries the
+    correction keeps on the sector, the (row, column) of each such entry and
+    its target slot, and whether every entry stays on."""
+
+    pairs: np.ndarray
+    factors: np.ndarray
+    on_sector: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    targets: np.ndarray
+    all_on: bool
+
+
+def _fold_tables(pairs: np.ndarray, images) -> FoldTables:
+    """The fold tables of the pairs ``pairs`` from the sector images
+    ``images = _register_images(...)[1]``."""
     slots, factors = images[0][pairs], images[1][pairs]
-    scales = np.sqrt(probabilities[..., pairs])[..., None]
-    # np.take keeps C order, so a fold with every entry on the sector scatters it as it is.
-    moved = np.take(branches, pairs, axis=-2) / scales * factors
     on_sector = slots >= 0
     rows, cols = np.nonzero(on_sector)
+    targets = slots[rows, cols]
+    for array in (factors, on_sector, rows, cols, targets):
+        array.setflags(write=False)
+    return FoldTables(pairs, factors, on_sector, rows, cols, targets, bool(on_sector.all()))
+
+
+def _fold_corrections(coeffs: np.ndarray, branched, tables: FoldTables):
+    """Each pair of ``tables`` after its real correction, for the cat
+    coefficients ``coeffs`` or a stack of them on leading axes, as passed to
+    ``_pair_branches`` (``branched`` may add ladder positions in front): the
+    amplitudes left on the sector |i..i>, one row per pair, the norm sent off
+    it, and the fidelity with the cat. The arithmetic is the engine's, so
+    correct corrections give its fidelities bit for bit, per cat as if alone."""
+    branches, probabilities = branched
+    pairs, rows = tables.pairs, tables.rows
+    scales = np.sqrt(probabilities[..., pairs])[..., None]
+    # np.take keeps C order, so a fold with every entry on the sector scatters it as it is.
+    moved = np.take(branches, pairs, axis=-2) / scales * tables.factors
     folded = np.zeros_like(moved)
-    if on_sector.all():  # every entry moves, in order, and nothing leaks
-        folded[..., rows, slots.ravel()] = moved.reshape(moved.shape[:-2] + (-1,))
+    if tables.all_on:  # every entry moves, in order, and nothing leaks
+        folded[..., rows, tables.targets] = moved.reshape(moved.shape[:-2] + (-1,))
         leaked = np.zeros(moved.shape[:-1])
     else:
-        folded[..., rows, slots[rows, cols]] = moved[..., rows, cols]
-        leaked = np.linalg.norm(np.where(on_sector, 0, moved), axis=-1)
+        folded[..., rows, tables.targets] = moved[..., rows, tables.cols]
+        leaked = np.linalg.norm(np.where(tables.on_sector, 0, moved), axis=-1)
     fidelities = np.abs(np.einsum("...ij,...j->...i", folded, coeffs.conj())) ** 2
     return folded, leaked, fidelities
+
+
+def _single_side(d: int) -> tuple[np.ndarray, FoldTables]:
+    """The single-particle side of :func:`barred_equivalence_check`: the mask
+    of its live pairs, Bell at m = 1, and their fold tables."""
+    used = _ladder_positions(d, 1)[0][0].used
+    return used, _fold_tables(np.flatnonzero(used), _register_images(d, 1)[1])
 
 
 def _equivalence_deltas(coeffs, branched, many, single) -> tuple[np.ndarray, np.ndarray]:
@@ -629,14 +668,14 @@ def _equivalence_deltas(coeffs, branched, many, single) -> tuple[np.ndarray, np.
     ``coeffs`` (one row of d coefficients each), from both sides' shared
     ``branched = _pair_branches(coeffs, d**2)``: the collective side's
     ``many = (used, folded, leaked)``, its live pairs' mask and their fold,
-    and the single side's ``single = (used, images)``, folded here. Each cat
-    gets the bits it gets alone."""
-    (many_used, many_post, leaked), (single_used, images) = many, single
+    and the single side's ``single = _single_side(d)``, folded here. Each
+    cat gets the bits it gets alone."""
+    (many_used, many_post, leaked), (single_used, tables) = many, single
     many_p, single_p = (np.where(used, branched[1], 0.0) for used in (many_used, single_used))
     prob_deltas = np.abs(many_p - single_p).max(axis=-1)
     if not np.array_equal(many_used, single_used):
         return prob_deltas, np.ones_like(prob_deltas)
-    single_post = _fold_corrections(coeffs, np.flatnonzero(single_used), branched, images)[0]
+    single_post = _fold_corrections(coeffs, branched, tables)[0]
     state_deltas = np.abs(many_post - single_post).max(axis=(-2, -1))
     return prob_deltas, np.maximum(state_deltas, leaked.max(axis=-1))
 
@@ -664,8 +703,8 @@ def barred_equivalence_check(
     # GHZ(m), or barred at m = 1, is the first ladder position with d**2 live rows.
     positions = _ladder_positions(d, m)[0]
     many_used = next(position.used for position in positions if position.live == d * d)
-    single = (_ladder_positions(d, 1)[0][0].used, _register_images(d, 1)[1])
-    pairs = np.flatnonzero(many_used)
-    many = _fold_corrections(coeffs, pairs, branched, _register_images(d, m)[1])[:2]
-    prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, (many_used, *many), single)
+    tables = _fold_tables(np.flatnonzero(many_used), _register_images(d, m)[1])
+    many = _fold_corrections(coeffs, branched, tables)[:2]
+    prob_deltas, state_deltas = _equivalence_deltas(
+        coeffs, branched, (many_used, *many), _single_side(d))
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))

@@ -15,6 +15,7 @@ from catport import (
     random_cat_state,
 )
 from catport.analysis import collective_measurement_arity, nonzero_outcome_count
+from catport.core import random_cat_coeffs
 
 
 def hybrid(d, m, k):
@@ -173,14 +174,14 @@ class TestCostTable:
     def test_cross_check_draws_one_cat_per_point(self, monkeypatch):
         drawn = []
 
-        def counted(d, m, seed):
-            drawn.append((d, m, seed))
-            return random_cat_state(d, m, seed)
+        def counted(d, seeds):
+            drawn.append((d, list(seeds)))
+            return random_cat_coeffs(d, seeds)
 
-        monkeypatch.setattr(analysis, "random_cat_state", counted)
+        monkeypatch.setattr(analysis, "random_cat_coeffs", counted)
         rows = cost_table([2, 3], [1, 2, 3], include_hybrids=True, cross_check=True)
         assert len(rows) == sum(len(protocols.protocol_specs(d, m)) for d in (2, 3) for m in (1, 2, 3))
-        assert drawn == [(d, m, 0) for d in (2, 3) for m in (1, 2, 3)]
+        assert drawn == [(d, [0]) for d in (2, 3) for m in (1, 2, 3)]
 
     def test_cross_checked_table_builds_no_outcome_records(self, monkeypatch):
         def no_records(*args, **kwargs):

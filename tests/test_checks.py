@@ -19,6 +19,7 @@ from catport.core import (
     SizeCapError,
     cat_sector_indices,
     partial_trace_keep,
+    random_cat_coeffs,
     random_cat_state,
 )
 from catport.protocols import (
@@ -586,7 +587,8 @@ def per_cat_equivalence(cat, d, m):
         pairs = np.flatnonzero(used)
         branched = protocols._pair_branches(side.coeffs, live)
         folded, leaked, _ = protocols._fold_corrections(
-            side.coeffs, pairs, branched, per_pair_sector_images(spec, pairs)
+            side.coeffs, branched,
+            protocols._fold_tables(pairs, per_pair_sector_images(spec, pairs)),
         )
         sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
     (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
@@ -637,14 +639,17 @@ def test_blocks_change_nothing(monkeypatch, d, m, block_cats):
     expected = run_all_checks(d, m, 7)
     drawn = []
 
-    def recorded(d, m, seed):
-        drawn.append(seed)
-        return random_cat_state(d, m, seed)
+    def recorded(d, seeds):
+        drawn.append(list(seeds))
+        return random_cat_coeffs(d, seeds)
 
     monkeypatch.setattr(checks, "CHECK_BLOCK_ENTRIES", block_cats * d**3)
-    monkeypatch.setattr(checks, "random_cat_state", recorded)
+    monkeypatch.setattr(checks, "random_cat_coeffs", recorded)
     assert run_all_checks(d, m, 7) == expected
-    assert drawn == list(range(7))
+    # Every seed once, in order, with one draw per block.
+    per_block = max(1, block_cats // len(checks._check_plan(d, m).lives))
+    assert drawn == [list(range(start, min(start + per_block, 7)))
+                     for start in range(0, 7, per_block)]
 
 
 def compensated_sum(values, start=0):

@@ -24,7 +24,7 @@ from catport import (
     random_cat_state,
     tensor,
 )
-from catport.core import uniform_superposition_chain
+from catport.core import random_cat_coeffs, uniform_superposition_chain
 
 
 def brute_force_partial_trace(state, keep):
@@ -348,3 +348,30 @@ class TestRandomCatState:
             ]
         )
         np.testing.assert_array_equal(random_cat_state(3, 2, 42).coeffs, golden)
+
+
+def one_cat_coeffs(d, seed):
+    """The single-cat draw as first written: two ``standard_normal(d)`` calls
+    on the seed's generator, then division by the norm."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
+class TestRandomCatCoeffs:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 16, 64])
+    def test_rows_are_the_single_cat_draw_byte_for_byte(self, d):
+        block = random_cat_coeffs(d, range(3000))
+        assert block.shape == (3000, d) and block.dtype == np.complex128
+        for seed, row in enumerate(block):
+            assert row.tobytes() == one_cat_coeffs(d, seed).tobytes(), seed
+
+    def test_one_seed(self):
+        block = random_cat_coeffs(5, range(17, 18))
+        assert block.shape == (1, 5)
+        assert block[0].tobytes() == one_cat_coeffs(5, 17).tobytes()
+        assert random_cat_state(5, 2, 17).coeffs.tobytes() == block[0].tobytes()
+
+    def test_no_seeds(self):
+        block = random_cat_coeffs(3, range(0))
+        assert block.shape == (0, 3) and block.dtype == np.complex128

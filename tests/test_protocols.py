@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import product
@@ -84,6 +85,27 @@ class TestProtocolSpec:
     def test_boundary_ks_allowed(self):
         ProtocolSpec(ProtocolKind.HYBRID, 3, 2, hybrid_k=2)
         ProtocolSpec(ProtocolKind.HYBRID, 3, 2, hybrid_k=3)
+
+
+class TestProtocolSpecs:
+    @pytest.mark.parametrize("d, m", [(2, 1), (3, 2), (5, 4)])
+    def test_each_call_returns_a_new_list_of_equal_frozen_specs(self, d, m):
+        first = protocols.protocol_specs(d, m)
+        assert first == all_specs(d, m)
+        first.reverse()
+        first.append(ProtocolSpec(ProtocolKind.BELL, 7, 7))
+        second = protocols.protocol_specs(d, m)
+        assert second is not first and second == all_specs(d, m)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            second[0].d = 11
+
+    def test_numpy_integer_call_keeps_its_types_to_itself(self):
+        protocols._protocol_specs.cache_clear()
+        numpy_specs = protocols.protocol_specs(np.int64(3), np.int64(2))
+        assert numpy_specs == all_specs(3, 2)
+        specs = protocols.protocol_specs(3, 2)
+        assert specs == all_specs(3, 2)
+        assert all(type(s.d) is int and type(s.m) is int for s in specs)
 
 
 class TestComposeJointState:
