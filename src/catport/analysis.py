@@ -23,7 +23,6 @@ from .protocols import (
     _ladder_positions,
     _pair_branches,
     check_size,
-    ladder_k,
     protocol_specs,
 )
 
@@ -40,12 +39,12 @@ class CostRow:
 
 def nonzero_outcome_count(spec: ProtocolSpec) -> int:
     """d**2 for the collective protocols, d**(m+1) for Bell, d**k for hybrids."""
-    return spec.d ** ladder_k(spec)
+    return spec.rung.live
 
 
 def collective_measurement_arity(spec: ProtocolSpec) -> int:
     """Particles measured jointly: m - k + 3 on the ladder."""
-    return spec.m - ladder_k(spec) + 3
+    return spec.rung.block + 1
 
 
 def _fits(d: int, m: int, max_dim: int) -> bool:
@@ -104,7 +103,7 @@ def cost_of(
     nonzero = nonzero_outcome_count(spec)
     return CostRow(
         spec=spec,
-        total_outcome_count=spec.d ** (spec.m + 1),
+        total_outcome_count=spec.rung.rows,
         nonzero_outcome_count=nonzero,
         classical_bits=math.log2(nonzero),
         classical_bits_ceil=(nonzero - 1).bit_length(),

@@ -8,7 +8,7 @@ form, and each state builder scatters it into a dense vector. Families that
 only span a digit-string sector (barred, block-GHZ) are completed to a full
 orthonormal basis by the kets of :func:`complement_indices`, which are
 orthonormal and orthogonal to the sector, so no re-orthogonalization step
-is needed. The label functions fix each family's order, and every family is
+is needed. A :class:`Rung` fixes each family's row order, and every family is
 built label-first by mapping its labels to their states.
 
 All phases follow the single convention exp(+2*pi*i*x/d); conjugations
@@ -18,10 +18,10 @@ enter only through inner products.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
-from itertools import product
 from typing import Union
 
 import numpy as np
@@ -145,6 +145,152 @@ class JointLabel:
 
 
 BasisLabel = Union[BellLabel, PiLabel, GhzLabel, ComplementLabel, JointLabel]
+
+
+@dataclass(frozen=True)
+class Rung:
+    """The row layout of a measured family on m+1 qudits: ladder position k,
+    a block-GHZ (``ghz``) or barred-Bell block, and joint or bare labels.
+
+    Row ``tail * d**(k-2) + rest`` holds the k-2 Fourier outcomes of ``rest``
+    in mixed radix and the block outcome ``tail`` on the last m-k+3 qudits:
+    the sector states (n, m) or (n, m, k) in lex order, then the complement
+    kets of :func:`complement_indices` in index order, so labels ascend by
+    ``sort_key``. The first d**k rows are the outcomes that can occur. Each
+    row's pair ``shift * d + phase``, label and label components come from
+    this arithmetic alone, and :meth:`rank` inverts :meth:`label`.
+    """
+
+    d: int
+    m: int
+    k: int
+    ghz: bool
+    joint: bool
+
+    def __post_init__(self):
+        block_ghz = self.m >= 2 and self.k == 2 and not self.joint
+        if self.d < 2 or not 2 <= self.k <= self.m + 1 or self.ghz and not block_ghz:
+            raise ValueError(f"no measured family is {self}")
+
+    @property
+    def rows(self) -> int:
+        return self.d ** (self.m + 1)
+
+    @property
+    def live(self) -> int:
+        return self.d ** self.k
+
+    @property
+    def block(self) -> int:
+        """The block's repeated-digit count: it spans block + 1 qudits."""
+        return self.m - self.k + 2
+
+    @property
+    def sector_rows(self) -> int:
+        """The rows of sector states; complement kets fill the rest."""
+        return self.d ** (self.k + self.ghz)
+
+    def pairs(self, start: int, stop: int) -> np.ndarray:
+        """The pair of each row in [start, stop): a barred Bell state's shift
+        is its m and its phase its n plus the Fourier outcomes, a block-GHZ
+        state's are its m and k whatever its n, and a complement ket's is 0."""
+        d = self.d
+        tails, rest = self._window(start, stop)
+        if self.ghz:
+            pairs = tails % (d * d)
+        else:
+            phase, shift = np.divmod(tails, d)
+            # Digit sums from a table over ``places`` digits, all k-2 once the window is as long.
+            places = max(1, min(self.k - 2, int(math.log(max(rest.size, 1), d))))
+            table = np.zeros(1, dtype=np.int64)
+            for _ in range(places):
+                table = (table[:, None] + np.arange(d)).reshape(-1)
+            for _ in range(places, self.k - 2, places):
+                rest, low = np.divmod(rest, d ** places)
+                phase += table[low]
+            phase += table[rest]  # the top digits, at most ``places`` of them
+            pairs = shift * d + phase % d
+        pairs[tails >= d ** (2 + self.ghz)] = 0
+        return pairs
+
+    def digits(self, start: int, stop: int) -> np.ndarray:
+        """The m+1 base-d label components of each row in [start, stop): the
+        Fourier outcomes, then a complement ket's digits or a sector state's
+        components followed by zeros."""
+        d, width, places = self.d, 2 + self.ghz, self.block + 1
+        tails, rest = self._window(start, stop)
+        codes = tails * d ** (places - width)
+        kets = tails >= d ** width
+        if kets.any():
+            codes[kets] = self._ket(tails[kets] - d ** width)
+        codes += rest * d ** places
+        return codes[:, None] // d ** np.arange(self.m, -1, -1) % d
+
+    def labels(self, start: int, stop: int) -> list[BasisLabel]:
+        """The label of each row in [start, stop), from :meth:`digits`."""
+        num_pi, width, sector_rows = self.k - 2, 2 + self.ghz, self.sector_rows
+        sector = GhzLabel if self.ghz else BellLabel
+        labels = []
+        for row, digits in enumerate(self.digits(start, stop).tolist(), start):
+            if row < sector_rows:
+                tail = sector(*digits[num_pi : num_pi + width])
+            else:
+                tail = ComplementLabel(digits[num_pi:])
+            labels.append(JointLabel(digits[:num_pi], tail) if self.joint else tail)
+        return labels
+
+    def label(self, row: int) -> BasisLabel:
+        """The label of ``row``, by scalar arithmetic."""
+        d, num_pi = self.d, self.k - 2
+        tail, rest = divmod(row, d ** num_pi)
+        if row >= self.sector_rows:
+            ket = int(self._ket(tail - d ** (2 + self.ghz)))
+            block = ComplementLabel([ket // d ** place % d for place in range(self.block, -1, -1)])
+        elif self.ghz:
+            block = GhzLabel(tail // d // d, tail // d % d, tail % d)
+        else:
+            block = BellLabel(*divmod(tail, d))
+        if not self.joint:
+            return block
+        return JointLabel([rest // d ** place % d for place in reversed(range(num_pi))], block)
+
+    def rank(self, label: BasisLabel) -> int:
+        """The row of ``label`` if it is one of the family's, so that
+        ``label(rank(x)) == x`` for those; any other gets a row whose label
+        differs, or -1."""
+        d, sector = self.d, self.d ** (2 + self.ghz)
+        alphas, tail = (label.alphas, label.tail) if isinstance(label, JointLabel) else ((), label)
+        if isinstance(tail, ComplementLabel):
+            ket = sum(q * d ** place for place, q in enumerate(reversed(tail.digits)))
+            # The complement kets ascend with their index.
+            count = d ** (self.block + 1) - sector
+            index = sector + bisect_left(range(count), ket, key=lambda c: int(self._ket(c)))
+        elif isinstance(tail, GhzLabel):
+            index = (int(tail.n) * d + int(tail.m)) * d + int(tail.k)
+        elif isinstance(tail, BellLabel):
+            index = int(tail.n) * d + int(tail.m)
+        else:
+            return -1
+        for alpha in alphas:
+            index = index * d + alpha
+        return index
+
+    def _window(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's block outcome ``tail`` and Fourier outcomes ``rest``."""
+        if not 0 <= start <= stop <= self.rows:
+            raise ValueError(f"rows [{start}, {stop}) are not rows of {self}")
+        return np.divmod(np.arange(start, stop, dtype=np.int64), self.d ** (self.k - 2))
+
+    def _ket(self, index):
+        """The complement ket of each complement index. The block's run of
+        digits that must not all be equal, after block GHZ's first qudit,
+        takes every value but the multiples of the repunit."""
+        d, run = self.d, self.block - self.ghz
+        repunit = (d ** run - 1) // (d - 1)
+        rest, last = np.divmod(index, d)
+        first, between = np.divmod(rest, d ** run - d)
+        value = between // (repunit - 1) * repunit + between % (repunit - 1) + 1
+        return (first * d ** run + value) * d + last
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,35 +430,6 @@ def complement_indices(d: int, num_qudits: int, block: slice) -> np.ndarray:
     return np.flatnonzero(np.broadcast_to(~equal.reshape(axes), (d,) * num_qudits))
 
 
-def complement_labels(d: int, num_qudits: int, block: slice) -> list[BasisLabel]:
-    """The kets of :func:`complement_indices`, as labels."""
-    kets = complement_indices(d, num_qudits, block)[:, None] // d ** np.arange(num_qudits)[::-1]
-    return [ComplementLabel(digits) for digits in (kets % d).tolist()]
-
-
-def barred_labels(d: int, m: int) -> list[BasisLabel]:
-    """Barred Bell labels over m+1 qudits, then their complement kets."""
-    bell: list[BasisLabel] = [BellLabel(n, s) for n, s in product(range(d), repeat=2)]
-    return bell + complement_labels(d, m + 1, slice(0, m))
-
-
-def ghz_labels(d: int, m: int) -> list[BasisLabel]:
-    """Block-GHZ labels over m+1 qudits, then their complement kets."""
-    if m < 2:
-        raise ValueError(f"block GHZ states need m >= 2, got {m}")
-    ghz: list[BasisLabel] = [GhzLabel(*nmk) for nmk in product(range(d), repeat=3)]
-    return ghz + complement_labels(d, m + 1, slice(1, m))
-
-
-def joint_labels(d: int, num_pi: int, barred_m: int) -> list[BasisLabel]:
-    """``num_pi`` Fourier outcomes paired with each barred-block outcome, block-major."""
-    return [
-        JointLabel(alphas, tail)
-        for tail in barred_labels(d, barred_m)
-        for alphas in product(range(d), repeat=num_pi)
-    ]
-
-
 def label_basis(d: int, m: int, labels: list[BasisLabel]) -> MeasurementBasis:
     """The family of ``labels``, in their order, each mapped to its state.
 
@@ -362,16 +479,15 @@ def build_basis(family: BasisFamily, d: int, m: int | None = None) -> Measuremen
     if family is BasisFamily.PI:
         states = [(PiLabel(a), pi_basis_state(d, PiLabel(a))) for a in range(d)]
         return MeasurementBasis(RegisterShape(d, 1), tuple(states))
-    if family is BasisFamily.BELL_PROTOCOL_JOINT:
-        # m - 1 Fourier slots, then a Bell pair.
-        return label_basis(d, 1, joint_labels(d, m - 1, 1))
-    if family in (BasisFamily.BELL, BasisFamily.BARRED):
-        m = 1 if family is BasisFamily.BELL else m
-        return label_basis(d, m, barred_labels(d, m))
-    if family in (BasisFamily.GHZ, BasisFamily.GHZ_PROTOCOL_JOINT):
-        m = 2 if family is BasisFamily.GHZ else m
-        return label_basis(d, m, ghz_labels(d, m))
-    raise ValueError(f"unknown basis family {family!r}")
+    if not isinstance(family, BasisFamily):
+        raise ValueError(f"unknown basis family {family!r}")
+    # Bell is barred(1), GHZ is block GHZ(2), and the Bell protocol's family
+    # is m - 1 Fourier slots, then a Bell pair.
+    m = {BasisFamily.BELL: 1, BasisFamily.GHZ: 2}.get(family, m)
+    joint = family is BasisFamily.BELL_PROTOCOL_JOINT
+    ghz = family in (BasisFamily.GHZ, BasisFamily.GHZ_PROTOCOL_JOINT)
+    rung = Rung(d, m, m + 1 if joint else 2, ghz, joint)
+    return label_basis(d, rung.block, rung.labels(0, rung.rows))
 
 
 def verify_orthonormal_complete(basis: MeasurementBasis) -> BasisReport:

@@ -35,7 +35,8 @@ survives only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -43,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import bases
-from .bases import BasisLabel, BellLabel, ComplementLabel, GhzLabel, JointLabel, MeasurementBasis
+from .bases import BasisLabel, MeasurementBasis, Rung
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
@@ -59,6 +60,8 @@ from .core import (
 )
 
 PROB_FLOOR = 1e-12
+ROW_WINDOW = 4096  # outcome rows labelled at a time
+COLUMN_WINDOW = 1 << 16  # live-pair column rows computed at a time
 
 
 class ProtocolKind(Enum):
@@ -70,14 +73,28 @@ class ProtocolKind(Enum):
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Which protocol to run, for which local dimension and particle count."""
+    """Which protocol to run, for which local dimension and particle count.
+
+    ``rung`` is the measured family's row layout, made here from the kind:
+    BELL is the ladder's k = m+1, BARRED its k = 2 with bare labels, and GHZ
+    the block-GHZ form of k = 2."""
 
     kind: ProtocolKind
     d: int
     m: int
     hybrid_k: Optional[int] = None
+    rung: Rung = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.kind, ProtocolKind):
+            raise ValueError(f"protocol kind must be a ProtocolKind, got {self.kind!r}")
+        integers = {"d": self.d, "m": self.m}
+        if self.hybrid_k is not None:
+            integers["hybrid_k"] = self.hybrid_k
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.m < 1:
@@ -93,15 +110,17 @@ class ProtocolSpec:
             raise ValueError(f"{self.kind.value} takes no hybrid_k")
         if self.kind is ProtocolKind.GHZ and self.m < 2:
             raise ValueError("the GHZ protocol needs m >= 2")
+        k = {ProtocolKind.HYBRID: self.hybrid_k, ProtocolKind.BELL: self.m + 1}.get(self.kind, 2)
+        joint = self.kind in (ProtocolKind.BELL, ProtocolKind.HYBRID)
+        rung = Rung(self.d, self.m, k, self.kind is ProtocolKind.GHZ, joint)
+        object.__setattr__(self, "rung", rung)
 
 
 def ladder_k(spec: ProtocolSpec) -> int:
     """The protocol's position on the ladder: the sender measures k-2 qudits
     one at a time and the last m-k+3 together, and k*log2(d) bits go out.
     BELL is k = m+1; BARRED and GHZ are k = 2."""
-    if spec.kind is ProtocolKind.HYBRID:
-        return spec.hybrid_k
-    return spec.m + 1 if spec.kind is ProtocolKind.BELL else 2
+    return spec.rung.k
 
 
 def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
@@ -295,56 +314,32 @@ def compose_joint_state(
     )
 
 
-def _family_labels(spec: ProtocolSpec) -> list[BasisLabel]:
-    """The labels of ``measurement_family(spec)`` in its order: k-2 Fourier
-    slots, then a block of m-k+2 repeated digits and one more qudit. GHZ and
-    barred outcomes are bare block labels; the others are joint labels."""
-    k = ladder_k(spec)
-    block = spec.m - k + 2
-    if spec.kind is ProtocolKind.GHZ:
-        return bases.ghz_labels(spec.d, block)
-    if spec.kind is ProtocolKind.BARRED:
-        return bases.barred_labels(spec.d, block)
-    return bases.joint_labels(spec.d, k - 2, block)
-
-
 @lru_cache(maxsize=32)
-def _family_cached(
-    kind: ProtocolKind, d: int, m: int, hybrid_k: Optional[int]
-) -> MeasurementBasis:
-    spec = ProtocolSpec(kind, d, m, hybrid_k)
-    return bases.label_basis(d, m - ladder_k(spec) + 2, _family_labels(spec))
+def _family_cached(rung: Rung) -> MeasurementBasis:
+    return bases.label_basis(rung.d, rung.block, rung.labels(0, rung.rows))
 
 
 def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
     """The complete orthonormal family measured on the sender's m+1 qudits."""
-    return _family_cached(spec.kind, spec.d, spec.m, spec.hybrid_k)
+    return _family_cached(spec.rung)
 
 
 def _live_pairs(spec: ProtocolSpec) -> np.ndarray:
     """Each pair ``shift * d + phase`` of the d**k outcome rows that can occur,
-    the first ones whatever the cat state. Indexing the pairs' probabilities
-    with it gives the outcome probability column; every later row is zero by
-    structure. The protocols other than GHZ at one ladder position share it.
-
-    GHZ row s*d + p is ghz(0,s,p), with pair s*d + p. Any other row is
-    (n*d + s) * d**(k-2) plus the Fourier outcomes in mixed radix, with shift
-    s and phase n plus their digit sum.
-    """
-    return _ladder_pairs(spec.d, ladder_k(spec), spec.kind is ProtocolKind.GHZ)
+    the first ones whatever the cat state, as the spec's rung lays them out.
+    Indexing the pairs' probabilities with it gives the outcome probability
+    column; every later row is zero by structure. Specs with one rung share
+    it."""
+    return _ladder_pairs(spec.rung)
 
 
 @lru_cache(maxsize=128)
-def _ladder_pairs(d: int, k: int, ghz: bool) -> np.ndarray:
-    if ghz:
-        pairs = np.arange(d * d)
-    else:
-        # The Fourier digit sums in mixed-radix order, tensored one slot at a time.
-        digit_sums = np.zeros(1, dtype=np.int64)
-        for _ in range(k - 2):
-            digit_sums = (digit_sums[:, None] + np.arange(d)).reshape(-1)
-        phase, shift = np.divmod(np.arange(d * d), d)
-        pairs = (shift[:, None] * d + (phase[:, None] + digit_sums) % d).reshape(-1)
+def _ladder_pairs(rung: Rung) -> np.ndarray:
+    # A window at a time, so the arithmetic's temporaries stay window-sized.
+    pairs = np.empty(rung.live, dtype=np.int64)
+    for start in range(0, rung.live, COLUMN_WINDOW):
+        stop = min(start + COLUMN_WINDOW, rung.live)
+        pairs[start:stop] = rung.pairs(start, stop)
     pairs.setflags(write=False)
     return pairs
 
@@ -363,8 +358,9 @@ class LadderPosition(NamedTuple):
 def _ladder_positions(d: int, m: int):
     """The ladder positions of ``protocol_specs(d, m)`` in first-use order,
     and each spec's (position, column) index among them. Only the row order
-    of a spec's completeness sum is its own; specs that share a stored column
-    share that too, and equal columns give equal sums."""
+    of a spec's completeness sum is its own. Specs whose rungs differ at most
+    in their label form, joint or bare, have equal columns and share one, as
+    equal columns give equal sums."""
     positions, slots = {}, []
     for spec in protocol_specs(d, m):
         live_pairs = _live_pairs(spec)
@@ -373,7 +369,8 @@ def _ladder_positions(d: int, m: int):
         index, _, columns = positions.setdefault(
             (live_pairs.size, used.tobytes()), (len(positions), used, {})
         )
-        slots.append((index, columns.setdefault(id(live_pairs), (len(columns), live_pairs))[0]))
+        column = (spec.rung.k, spec.rung.ghz)
+        slots.append((index, columns.setdefault(column, (len(columns), live_pairs))[0]))
     ladder = tuple(
         LadderPosition(live, used, tuple(column for _, column in columns.values()))
         for (live, _), (_, used, columns) in positions.items()
@@ -382,42 +379,20 @@ def _ladder_positions(d: int, m: int):
 
 
 def _live_label(spec: ProtocolSpec, row: int) -> BasisLabel:
-    """The label of ``row``, one of the d**k rows that can occur, laid out as
-    :func:`_live_pairs` reads them."""
-    d, num_pi = spec.d, ladder_k(spec) - 2
-    if spec.kind is ProtocolKind.GHZ:
-        return GhzLabel(0, *divmod(row, d))
-    tail, rest = divmod(row, d ** num_pi)
-    bell = BellLabel(*divmod(tail, d))
-    if spec.kind is ProtocolKind.BARRED:
-        return bell
-    return JointLabel([rest // d ** place % d for place in reversed(range(num_pi))], bell)
+    """The label of ``row``, laid out as :func:`_live_pairs` reads the rows."""
+    return spec.rung.label(row)
 
 
 def _label_pair(spec: ProtocolSpec, label: BasisLabel) -> int:
-    """The pair ``shift * d + phase`` of a label of the protocol's family.
-
-    A Bell tail's shift is its ``m`` and its phase its ``n`` plus the Fourier
-    outcomes; a GHZ label's pair is (m, k) whatever its n. A complement ket
-    never occurs and gets pair 0; any unitary would do there. Raises
-    ValueError for a label outside the family.
+    """The pair ``shift * d + phase`` of a label of the protocol's family, the
+    pair of its row. A complement ket never occurs and gets pair 0; any
+    unitary would do there. Raises ValueError for a label outside the
+    family: one that is not the label of the row it ranks to.
     """
-    d, k, ghz = spec.d, ladder_k(spec), spec.kind is ProtocolKind.GHZ
-    joint = isinstance(label, JointLabel)
-    alphas, tail = (label.alphas, label.tail) if joint else ((), label)
-    # Labels hold no negatives, and their Fourier outcomes and ket digits are ints.
-    member = joint is (spec.kind in (ProtocolKind.BELL, ProtocolKind.HYBRID))
-    member = member and len(alphas) == k - 2 and max(alphas, default=0) < d
-    if isinstance(tail, ComplementLabel):
-        # Off the sector: the block's repeated digits, after GHZ's first qudit, differ.
-        digits, block = tail.digits, spec.m - k + 2
-        if member and len(digits) == block + 1 and max(digits) < d:
-            if len(set(digits[int(ghz) : block])) > 1:
-                return 0
-    elif isinstance(tail, GhzLabel if ghz else BellLabel):
-        phase = tail.k if ghz else tail.n
-        if member and all(q in range(d) for q in (tail.n, tail.m, phase)):
-            return int(tail.m * d + (phase + sum(alphas)) % d)
+    rung = spec.rung
+    row = rung.rank(label)
+    if 0 <= row < rung.rows and rung.label(row) == label:
+        return int(rung.pairs(row, row + 1)[0])
     raise ValueError(
         f"label {label} does not belong to a {spec.kind.value} measurement "
         f"at d={spec.d}, m={spec.m}"
@@ -566,20 +541,20 @@ def enumerate_outcomes(
     ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
-    d, pairs = spec.d, _live_pairs(spec)
-    live, used = pairs.size, np.flatnonzero(np.bincount(pairs))
-    bob_shape = RegisterShape(d, spec.m, max_dim=max_dim)
-    branched = _pair_branches(cat.coeffs, live)
+    rung, pairs = spec.rung, _live_pairs(spec)
+    used = np.flatnonzero(np.bincount(pairs))
+    bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
+    branched = _pair_branches(cat.coeffs, rung.live)
     finished = dict(zip(used.tolist(), _finish_pairs(cat, spec, used, branched, bob_shape)))
     zero = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
-    # Past the live rows come GHZ labels with n != 0, up to row d**3, then complement kets.
-    last_ghz = d**3 if spec.kind is ProtocolKind.GHZ else 0
-    records, pairs = [], pairs.tolist()
-    for row, label in enumerate(_family_labels(spec)):
-        pair = pairs[row] if row < live else row % (d * d) if row < last_ghz else 0
-        fields = finished[pair] if row < live else (
-            0.0, zero, _pair_correction(spec, pair), zero, 0.0)
-        records.append(OutcomeRecord(label, *fields))
+    records, live = [], rung.live
+    for start in range(0, rung.rows, ROW_WINDOW):
+        stop = min(start + ROW_WINDOW, rung.rows)
+        window = zip(range(start, stop), rung.labels(start, stop), rung.pairs(start, stop).tolist())
+        for row, label, pair in window:
+            fields = finished[pair] if row < live else (
+                0.0, zero, _pair_correction(spec, pair), zero, 0.0)
+            records.append(OutcomeRecord(label, *fields))
     return records
 
 

@@ -30,7 +30,6 @@ from catport import (
 from catport.bases import (
     block_ghz_basis_state,
     complement_indices,
-    complement_labels,
     sector_terms,
 )
 from catport.protocols import MonomialOperator
@@ -394,5 +393,3 @@ class TestSectorTerms:
             digit_strings = list(product(range(d), repeat=num_qudits))
             expected = [i for i, q in enumerate(digit_strings) if len(set(q[block])) > 1]
             assert complement_indices(d, num_qudits, block).tolist() == expected, block
-            labels = [ComplementLabel(digit_strings[i]) for i in expected]
-            assert complement_labels(d, num_qudits, block) == labels, block

@@ -142,6 +142,22 @@ class TestMutations:
         monkeypatch.setattr(bases, "sector_terms", swapped)
         assert checks._sector_family_error(d, block, width) == 1.0
 
+    def test_branch_probabilities_that_follow_arg_alpha_0(self, monkeypatch):
+        # Every branch of a cat scaled by 1 + 1e-11 * arg(alpha_0): each
+        # probability moves by at most 2e-11 * pi / d**k and each total by at
+        # most 6.3e-11, inside the 1e-10 tolerances, and the fold divides the
+        # scale out again. The cat with a global phase has its arg(alpha_0)
+        # moved by 0.73, so at d**k = 9 its probabilities move by 1.6e-12.
+        branches = checks._pair_branches
+
+        def phased(coeffs, live):
+            b, probabilities = branches(coeffs, live)
+            scale = 1 + 1e-11 * np.angle(coeffs[..., 0])
+            return b * scale[..., None, None], probabilities * scale[..., None] ** 2
+
+        monkeypatch.setattr(checks, "_pair_branches", phased)
+        assert failures(3, 2, 3) == {"global_phase_invariance"}
+
     def test_single_particle_correction_phase_off_by_one(self, monkeypatch, fresh_corrections):
         # Only the one-qudit register's corrections are wrong, and only the
         # single-particle side of the equivalence applies them: its images
@@ -266,9 +282,9 @@ def test_equivalence_sides_are_the_ladder_masks(monkeypatch, fresh_ladder):
     # suite read that mask from the ladder positions, and nothing else fails.
     ladder_pairs = protocols._ladder_pairs
 
-    def repeated(d, k, ghz):
-        pairs = ladder_pairs(d, k, ghz)
-        if ghz:
+    def repeated(rung):
+        pairs = ladder_pairs(rung)
+        if rung.ghz:
             pairs = pairs.copy()
             pairs[1] = pairs[0]
             pairs.setflags(write=False)
@@ -278,6 +294,36 @@ def test_equivalence_sides_are_the_ladder_masks(monkeypatch, fresh_ladder):
     report = protocols.barred_equivalence_check(random_cat_state(3, 2, 0), 3, 2)
     assert report.max_state_delta == 1.0
     assert failures(3, 2, 2) == {"barred_equivalence"}
+
+
+def live_row_signaling(d, m):
+    """For each spec at (d, m), the largest entry of |sum b b^H - I/d| over the
+    branches b of its live rows, read through ``_live_pairs``, and seeds 0-4:
+    the receiver's state on the sector |i..i> averaged over the outcomes
+    that can occur, against the maximally mixed state."""
+    errors = []
+    for spec in protocol_specs(d, m):
+        error = 0.0
+        for seed in range(5):
+            coeffs = random_cat_state(d, m, seed).coeffs
+            rows = protocols._pair_branches(coeffs, spec.rung.live)[0][protocols._live_pairs(spec)]
+            error = max(error, float(np.abs(rows.T @ rows.conj() - np.eye(d) / d).max()))
+        errors.append(error)
+    return errors
+
+
+@pytest.mark.parametrize("d, m", ORACLE_GRID)
+def test_live_rows_leave_the_receiver_maximally_mixed(d, m):
+    # no_signaling reads the cat alone; this is the engine's side of it.
+    assert max(live_row_signaling(d, m)) < 1e-12
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (2, 4)])
+def test_live_rows_that_lose_their_shift_signal(monkeypatch, fresh_ladder, d, m):
+    # With every shift 0 the live rows sum to diag(|alpha_i|**2).
+    pairs = bases.Rung.pairs
+    monkeypatch.setattr(bases.Rung, "pairs", lambda rung, *window: pairs(rung, *window) % rung.d)
+    assert min(live_row_signaling(d, m)) > 1e-3
 
 
 @pytest.mark.parametrize("d, m", [(3, 2), (2, 6), (5, 3)])
@@ -320,9 +366,8 @@ def test_cold_basis_certificate_builds_no_label_or_dense_family(
     def forbidden(*args, **kwargs):
         raise AssertionError("the basis certificate built a label or a dense state")
 
-    for name in ("ComplementLabel", "barred_labels", "ghz_labels", "complement_labels",
-                 "build_basis", "verify_orthonormal_complete", "pi_basis_state",
-                 "barred_bell_basis_state", "block_ghz_basis_state"):
+    for name in ("ComplementLabel", "Rung", "build_basis", "verify_orthonormal_complete",
+                 "pi_basis_state", "barred_bell_basis_state", "block_ghz_basis_state"):
         monkeypatch.setattr(bases, name, forbidden)
     assert checks._basis_error(d, m) < 1e-12
     assert not {"BasisFamily", "BellLabel", "ComplementLabel"} & set(vars(checks))
@@ -342,7 +387,7 @@ def test_family_certificate_memory_at_d40():
 
 def row_pairs(spec):
     """Each outcome row's pair, from the label rule on the family's labels."""
-    labels = protocols._family_labels(spec)
+    labels = spec.rung.labels(0, spec.rung.rows)
     return np.array([protocols._label_pair(spec, label) for label in labels])
 
 

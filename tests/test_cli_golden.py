@@ -6,7 +6,9 @@ output must match exactly. Other floats may differ by 1e-15, so that a
 last-digit rounding difference between numpy builds does not fail the test.
 
 After an intended output change, regenerate the files with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``. With ``--check`` it
+instead runs every case through its own ``python -m catport`` process and
+compares stdout with the file byte for byte, listing each case that differs.
 """
 
 import contextlib
@@ -14,6 +16,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,7 +125,24 @@ def test_records_render_only_their_format(monkeypatch, name):
     assert _run(CASES[name]) == (0, (GOLDEN / name).read_text(encoding="utf-8"))
 
 
+def _differing_cases() -> list[str]:
+    """The cases whose ``python -m catport`` process fails or whose stdout
+    differs in any byte from the golden file."""
+    differing = []
+    for name, argv in CASES.items():
+        done = subprocess.run([sys.executable, "-m", "catport", *argv], capture_output=True)
+        if done.returncode != 0 or done.stdout != (GOLDEN / name).read_bytes():
+            differing.append(name)
+    return differing
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        differing = _differing_cases()
+        print(f"{len(CASES) - len(differing)} of {len(CASES)} cases match byte for byte")
+        for name in differing:
+            print(f"differs: {name}")
+        sys.exit(1 if differing else 0)
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         code, out = _run(argv)

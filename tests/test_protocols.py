@@ -33,7 +33,8 @@ from catport import (
     protocols,
     run_protocol,
 )
-from catport.bases import BasisLabel
+from catport.analysis import cost_of
+from catport.bases import BasisLabel, complement_indices
 from catport.core import cat_sector_indices
 from catport.protocols import cat_sector_correction, ladder_k
 
@@ -85,6 +86,32 @@ class TestProtocolSpec:
     def test_boundary_ks_allowed(self):
         ProtocolSpec(ProtocolKind.HYBRID, 3, 2, hybrid_k=2)
         ProtocolSpec(ProtocolKind.HYBRID, 3, 2, hybrid_k=3)
+
+    @pytest.mark.parametrize("args", [
+        ("bell", 2, 3),  # would run ladder position k = 2 with Bell's name
+        ("hybrid", 2, 3, 2),
+        (None, 2, 3),
+        (ProtocolKind.BELL, 2.5, 2),
+        (ProtocolKind.BELL, 3, 2.0),
+        (ProtocolKind.HYBRID, 3, 2, 2.5),
+        (ProtocolKind.HYBRID, 3, 2, 2.0),
+        (ProtocolKind.BELL, True, 2),
+        (ProtocolKind.BELL, 3, True),
+        (ProtocolKind.HYBRID, 3, 2, True),
+        (ProtocolKind.BELL, "3", 2),
+        (ProtocolKind.BELL, np.float64(3), 2),
+    ])
+    def test_rejects_a_kind_or_count_of_the_wrong_type(self, args):
+        with pytest.raises(ValueError):
+            ProtocolSpec(*args)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        spec = ProtocolSpec(ProtocolKind.HYBRID, np.int64(3), np.int32(2), np.uint8(3))
+        assert spec == ProtocolSpec(ProtocolKind.HYBRID, 3, 2, 3)
+        assert all(type(value) is int for value in (spec.d, spec.m, spec.hybrid_k))
+        row = cost_of(ProtocolSpec(ProtocolKind.BELL, np.int64(3), 2))
+        assert row == cost_of(ProtocolSpec(ProtocolKind.BELL, 3, 2))
+        assert row.classical_bits_ceil == 5
 
 
 class TestProtocolSpecs:
@@ -595,6 +622,48 @@ def clear_protocol_caches():
 
 ROW_GRID = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 8)]
 
+# The oracle grid's specs, GHZ(3, 4) among them, and a deep hybrid.
+RUNG_SPECS = [spec for d, m in ORACLE_GRID for spec in all_specs(d, m)] + [
+    ProtocolSpec(ProtocolKind.HYBRID, 2, 10, hybrid_k=5)]
+
+
+def spec_id(spec):
+    return f"{spec.kind.value}-{spec.d}-{spec.m}" + (f"-k{spec.hybrid_k}" if spec.hybrid_k else "")
+
+
+@pytest.mark.parametrize("spec", RUNG_SPECS, ids=spec_id)
+def test_rung_rows_pairs_and_labels_agree(spec):
+    # build_basis reads the rung too, so the independent oracle is the order:
+    # the labels ascend strictly by sort_key over all d**(m+1) rows.
+    rung, d, m = spec.rung, spec.d, spec.m
+    labels = rung.labels(0, rung.rows)
+    keys = [label.sort_key() for label in labels]
+    assert len(set(labels)) == len(labels) == d ** (m + 1)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    pairs = rung.pairs(0, rung.rows)
+    for window in (1, 7, 64):
+        windows = [rung.pairs(start, min(start + window, rung.rows))
+                   for start in range(0, rung.rows, window)]
+        assert np.array_equal(np.concatenate(windows), pairs), window
+    head = min(300, rung.rows)
+    assert labels[:head] == [label for start in range(0, head, 7)
+                             for label in rung.labels(start, min(start + 7, head))]
+    for row, label in enumerate(labels):
+        assert protocols._label_pair(spec, label) == rung.pairs(row, row + 1)[0] == pairs[row]
+        assert protocols._live_label(spec, row) == label
+        assert rung.rank(label) == row
+    for start, stop in [(-1, 1), (0, rung.rows + 1), (2, 1)]:
+        with pytest.raises(ValueError):
+            rung.pairs(start, stop)
+        with pytest.raises(ValueError):
+            rung.labels(start, stop)
+    # After the sector rows come exactly the block's complement kets, in order.
+    tails = [label.tail if rung.joint else label for label in labels[rung.sector_rows :]]
+    kets = sorted({digits_to_index(RegisterShape(d, rung.block + 1), t.digits) for t in tails})
+    block = slice(int(rung.ghz), rung.block)
+    assert kets == complement_indices(d, rung.block + 1, block).tolist()
+    assert all(isinstance(t, ComplementLabel) for t in tails)
+
 
 class TestRowIndex:
     """Each outcome's pair follows from its row by arithmetic; the label
@@ -603,7 +672,7 @@ class TestRowIndex:
     @pytest.mark.parametrize("d,m", ROW_GRID)
     def test_pair_column_follows_the_label_rule(self, d, m):
         for spec in all_specs(d, m):
-            labels = protocols._family_labels(spec)
+            labels = spec.rung.labels(0, spec.rung.rows)
             pairs = [protocols._label_pair(spec, label) for label in labels]
             expected, occurs = zip(*(reference_pair(d, label) for label in labels))
             assert pairs == list(expected), spec
@@ -677,8 +746,8 @@ class TestRowIndex:
             raise AssertionError("run_protocol built a family label list")
 
         clear_protocol_caches()
-        for name in ("barred_labels", "ghz_labels", "joint_labels", "complement_labels"):
-            monkeypatch.setattr(bases, name, no_labels)
+        for name in ("labels", "digits"):
+            monkeypatch.setattr(bases.Rung, name, no_labels)
         cat = random_cat_state(d, m, 2)
         for spec in all_specs(d, m):
             record = run_protocol(cat, spec, seed=5)
@@ -719,8 +788,8 @@ class TestRowIndex:
 
         spec = ProtocolSpec(ProtocolKind.BARRED, 2, 15)
         clear_protocol_caches()
-        for name in ("barred_labels", "ghz_labels", "joint_labels", "complement_labels"):
-            monkeypatch.setattr(bases, name, no_labels)
+        for name in ("labels", "digits"):
+            monkeypatch.setattr(bases.Rung, name, no_labels)
         assert correction_for(spec, ComplementLabel((0, 1) + (0,) * 14)).is_identity()
         bell = correction_for(spec, BellLabel(1, 1))
         assert bell is protocols._pair_correction(spec, reference_pair(2, BellLabel(1, 1))[0])
