@@ -2,38 +2,23 @@
 
 from .analysis import CostRow, cost_of, cost_table
 from .bases import (
-    BasisFamily,
-    BasisReport,
     BellLabel,
     ComplementLabel,
     GhzLabel,
     JointLabel,
-    MeasurementBasis,
     PiLabel,
-    barred_bell_basis_state,
-    bell_basis_state,
-    build_basis,
-    ghz_basis_state,
-    pi_basis_state,
-    verify_orthonormal_complete,
 )
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
-    DensityMatrix,
     PureState,
     RangeError,
     RegisterShape,
     ShapeMismatchError,
     SizeCapError,
-    basis_ket,
-    cat_to_pure_state,
     digits_to_index,
     index_to_digits,
-    inner,
-    partial_trace_keep,
     random_cat_state,
-    tensor,
     unit_phase,
 )
 from .protocols import (
@@ -45,7 +30,6 @@ from .protocols import (
     apply_correction,
     barred_equivalence_check,
     clock_operator,
-    compose_joint_state,
     correction_for,
     enumerate_outcomes,
     measurement_family,
@@ -107,3 +91,11 @@ __all__ = [
     "unit_phase",
     "verify_orthonormal_complete",
 ]
+
+# The names of __all__ not imported above are the dense reference's: they
+# load catport.dense on first use, so importing catport never does.
+__getattr__ = core.forward_to_dense(__name__, " ".join(set(__all__) - set(globals())))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

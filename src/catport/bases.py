@@ -1,15 +1,17 @@
-"""Measurement-basis families over qudit registers.
+"""Measurement-basis families over qudit registers: labels, row layouts
+and the term form of their states.
 
 Four building blocks: generalized Bell pairs, the single-qudit Fourier
 ("pi") basis, three-slot GHZ states, and barred variants in which one slot
 is a block of repeated digits. Each of their states is d terms
 exp(2*pi*i*e/d)/sqrt(d) on d distinct kets: :func:`sector_terms` owns that
-form, and each state builder scatters it into a dense vector. Families that
-only span a digit-string sector (barred, block-GHZ) are completed to a full
-orthonormal basis by the kets of :func:`complement_indices`, which are
-orthonormal and orthogonal to the sector, so no re-orthogonalization step
-is needed. A :class:`Rung` fixes each family's row order, and every family is
-built label-first by mapping its labels to their states.
+form. Families that only span a digit-string sector (barred, block-GHZ) are
+completed to a full orthonormal basis by the kets of
+:func:`complement_indices`, which are orthonormal and orthogonal to the
+sector, so no re-orthogonalization step is needed. A :class:`Rung` fixes
+each family's row order. The dense state builders, which scatter the terms
+into vectors and build every family label-first, and the numeric
+certificate live in :mod:`catport.dense`.
 
 All phases follow the single convention exp(+2*pi*i*x/d); conjugations
 enter only through inner products.
@@ -20,21 +22,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
-from functools import cache, reduce
 from typing import Union
 
 import numpy as np
 
-from .core import (
-    PureState,
-    RangeError,
-    RegisterShape,
-    basis_ket,
-    cat_sector_indices,
-    tensor,
-    unit_phase,
-)
+from .core import RangeError, cat_sector_indices, forward_to_dense, unit_phase
 
 
 @dataclass(frozen=True)
@@ -239,6 +231,20 @@ class Rung:
             labels.append(JointLabel(digits[:num_pi], tail) if self.joint else tail)
         return labels
 
+    def pair(self, row: int) -> int:
+        """The pair of ``row``, as :meth:`pairs` gives it, by scalar arithmetic."""
+        d = self.d
+        tail, rest = divmod(row, d ** (self.k - 2))
+        if tail >= d ** (2 + self.ghz):
+            return 0
+        if self.ghz:
+            return tail % (d * d)
+        phase, shift = divmod(tail, d)
+        while rest:
+            rest, digit = divmod(rest, d)
+            phase += digit
+        return shift * d + phase % d
+
     def label(self, row: int) -> BasisLabel:
         """The label of ``row``, by scalar arithmetic."""
         d, num_pi = self.d, self.k - 2
@@ -293,58 +299,6 @@ class Rung:
         return (first * d ** run + value) * d + last
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Ordered family of labeled states covering a register.
-
-    Construction checks cardinality and shapes only; numeric certification
-    of orthonormality and completeness is the job of
-    :func:`verify_orthonormal_complete` (so deliberately corrupted bases can
-    be built and diagnosed).
-    """
-
-    shape: RegisterShape
-    states: tuple[tuple[BasisLabel, PureState], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) != self.shape.total:
-            raise ValueError(
-                f"basis needs {self.shape.total} states, got {len(self.states)}"
-            )
-        for _, state in self.states:
-            if state.shape != self.shape:
-                raise ValueError("basis state shape disagrees with basis register")
-
-    def labels(self) -> list[BasisLabel]:
-        return [label for label, _ in self.states]
-
-    def matrix(self) -> np.ndarray:
-        """States stacked as rows: (count, dim)."""
-        return np.stack([s.amps for _, s in self.states])
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    max_gram_error: float
-    max_completeness_error: float
-
-
-def bell_basis_state(d: int, label: BellLabel) -> PureState:
-    """Two-qudit state with amplitude exp(2*pi*i*j*n/d)/sqrt(d) on (j, j+m)."""
-    return barred_bell_basis_state(d, 1, label)
-
-
-def pi_basis_state(d: int, label: PiLabel) -> PureState:
-    """Fourier basis state with amplitude exp(2*pi*i*alpha*beta/d)/sqrt(d) on |beta>."""
-    return _term_state(d, 0, alpha=label.alpha)
-
-
-def ghz_basis_state(d: int, label: GhzLabel) -> PureState:
-    """Three-qudit state on digits (j, j+n, j+m) with phase exp(2*pi*i*j*(n+k)/d)."""
-    return block_ghz_basis_state(d, 2, label)
-
-
 def sector_terms(d: int, block: int, labels) -> tuple[np.ndarray, np.ndarray]:
     """The kets and amplitudes exp(2*pi*i*e/d)/sqrt(d) of the d terms of each
     labelled state over ``block + 1`` qudits, one row per label, in order.
@@ -370,51 +324,6 @@ def sector_terms(d: int, block: int, labels) -> tuple[np.ndarray, np.ndarray]:
     return kets, table[exponents % d]
 
 
-def _term_state(d: int, block: int, **components: int) -> PureState:
-    """The dense state of one label's named components, in sector_terms' order."""
-    for name, value in components.items():
-        if not 0 <= value < d:
-            raise RangeError(f"{name}={value} outside [0, {d})")
-    shape = RegisterShape(d, block + 1)
-    kets, amplitudes = sector_terms(d, block, [list(components.values())])
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    amps[kets[0]] = amplitudes[0]
-    return PureState(shape, amps)
-
-
-def block_ghz_basis_state(d: int, m: int, label: GhzLabel) -> PureState:
-    """GHZ state whose middle slot is a block of ``m - 1`` repeated digits.
-
-    Lives on ``m + 1`` qudits: digits (j, (j+n)*(m-1 times), (j+m_shift)),
-    each with phase exp(2*pi*i*j*(n+k)/d)/sqrt(d). For ``m = 2`` this is the
-    plain three-slot GHZ state.
-    """
-    if m < 2:
-        raise ValueError(f"block GHZ states need m >= 2, got {m}")
-    return _term_state(d, m, n=label.n, m=label.m, k=label.k)
-
-
-def barred_bell_basis_state(d: int, m: int, label: BellLabel) -> PureState:
-    """Bell state whose first slot is a block of ``m`` repeated digits.
-
-    Lives on ``m + 1`` qudits: amplitude exp(2*pi*i*j*n/d)/sqrt(d) on
-    (j, ..., j, (j+m_shift) mod d). For ``m = 1`` it coincides with
-    :func:`bell_basis_state`.
-    """
-    if m < 1:
-        raise ValueError(f"barred Bell states need m >= 1, got {m}")
-    return _term_state(d, m, n=label.n, m=label.m)
-
-
-class BasisFamily(Enum):
-    BELL = "bell"
-    PI = "pi"
-    GHZ = "ghz"
-    BELL_PROTOCOL_JOINT = "bell_protocol_joint"
-    GHZ_PROTOCOL_JOINT = "ghz_protocol_joint"
-    BARRED = "barred"
-
-
 def complement_indices(d: int, num_qudits: int, block: slice) -> np.ndarray:
     """Indices of the kets whose ``block`` digits are not all equal, in lex order.
 
@@ -430,77 +339,9 @@ def complement_indices(d: int, num_qudits: int, block: slice) -> np.ndarray:
     return np.flatnonzero(np.broadcast_to(~equal.reshape(axes), (d,) * num_qudits))
 
 
-def label_basis(d: int, m: int, labels: list[BasisLabel]) -> MeasurementBasis:
-    """The family of ``labels``, in their order, each mapped to its state.
-
-    ``m`` is the repeated-digit count of the block: a Bell label maps to its
-    barred Bell state, a GHZ label to its block-GHZ state and a complement
-    label to its ket. A joint label maps to its Fourier prefix tensored with
-    the state of its tail; each prefix and each block state is built once.
-    """
-    pi_states = [pi_basis_state(d, PiLabel(a)) for a in range(d)]
-
-    @cache
-    def block(label: BasisLabel) -> PureState:
-        if isinstance(label, BellLabel):
-            return barred_bell_basis_state(d, m, label)
-        if isinstance(label, GhzLabel):
-            return block_ghz_basis_state(d, m, label)
-        return basis_ket(RegisterShape(d, m + 1), label.digits)
-
-    @cache
-    def prefix(alphas: tuple[int, ...]) -> PureState:
-        return reduce(tensor, [pi_states[a] for a in alphas])
-
-    def state(label: BasisLabel) -> PureState:
-        if not isinstance(label, JointLabel):
-            return block(label)
-        if not label.alphas:
-            return block(label.tail)
-        return tensor(prefix(label.alphas), block(label.tail))
-
-    states = tuple((label, state(label)) for label in labels)
-    return MeasurementBasis(states[0][1].shape, states)
-
-
-def build_basis(family: BasisFamily, d: int, m: int | None = None) -> MeasurementBasis:
-    """Construct a complete family with deterministic label ordering.
-
-    ``m`` is the particle count of the repeated-digit block and is required
-    for the joint and barred families, and must be omitted for the
-    fixed-size ones.
-    """
-    fixed = family in (BasisFamily.BELL, BasisFamily.PI, BasisFamily.GHZ)
-    if fixed and m is not None:
-        raise ValueError(f"{family.value} takes no particle count")
-    if not fixed and (m is None or m < 1):
-        raise ValueError(f"{family.value} needs a particle count m >= 1")
-
-    if family is BasisFamily.PI:
-        states = [(PiLabel(a), pi_basis_state(d, PiLabel(a))) for a in range(d)]
-        return MeasurementBasis(RegisterShape(d, 1), tuple(states))
-    if not isinstance(family, BasisFamily):
-        raise ValueError(f"unknown basis family {family!r}")
-    # Bell is barred(1), GHZ is block GHZ(2), and the Bell protocol's family
-    # is m - 1 Fourier slots, then a Bell pair.
-    m = {BasisFamily.BELL: 1, BasisFamily.GHZ: 2}.get(family, m)
-    joint = family is BasisFamily.BELL_PROTOCOL_JOINT
-    ghz = family in (BasisFamily.GHZ, BasisFamily.GHZ_PROTOCOL_JOINT)
-    rung = Rung(d, m, m + 1 if joint else 2, ghz, joint)
-    return label_basis(d, rung.block, rung.labels(0, rung.rows))
-
-
-def verify_orthonormal_complete(basis: MeasurementBasis) -> BasisReport:
-    """Certify a family numerically; reports errors, never raises.
-
-    ``max_gram_error`` is max |<v_i|v_j> - delta_ij|; ``max_completeness_error``
-    is the largest entry of |sum_i |v_i><v_i| - identity|.
-    """
-    v = basis.matrix()
-    eye = np.eye(v.shape[0])
-    gram = v.conj() @ v.T
-    completeness = v.T @ v.conj()
-    return BasisReport(
-        max_gram_error=float(np.abs(gram - eye).max()),
-        max_completeness_error=float(np.abs(completeness - np.eye(v.shape[1])).max()),
-    )
+__getattr__ = forward_to_dense(
+    __name__,
+    "MeasurementBasis BasisReport BasisFamily bell_basis_state pi_basis_state"
+    " ghz_basis_state block_ghz_basis_state barred_bell_basis_state _term_state"
+    " label_basis build_basis verify_orthonormal_complete",
+)

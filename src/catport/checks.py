@@ -130,7 +130,7 @@ def _basis_error(d: int, m: int) -> float:
     each factor is within e of the identity, so the bound is applied once
     per slot.
 
-    The states themselves are not exact products: ``tensor`` rounds each
+    The states themselves are not exact products: ``dense.tensor`` rounds each
     product amplitude, a relative error of at most sqrt(2) * gamma_2 (about
     2 * sqrt(2) units in the last place) per complex product. Each Gram or
     completeness entry is a sum of |v_i(x)| |v_j(x)| <= 1 + e by

@@ -1,14 +1,14 @@
-"""Dense linear algebra over registers of d-level quantum systems.
+"""Registers of d-level quantum systems: shapes, indexing, states and cats.
 
 Amplitude vectors are flat complex128 arrays in big-endian mixed-radix
 order: the first qudit's digit is the most significant. All containers are
 immutable after construction (backing arrays are marked read-only), so
-values can be shared freely across threads.
+values can be shared freely across threads. Tensor products, partial
+traces and the other dense reference code live in :mod:`catport.dense`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -156,94 +156,6 @@ class PureState:
         )
 
 
-def basis_ket(shape: RegisterShape, digits: Sequence[int]) -> PureState:
-    """Computational basis state |digits>."""
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    amps[digits_to_index(shape, digits)] = 1.0
-    return PureState(shape, amps)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; ``a``'s qudits become the leading (most significant) block."""
-    if a.shape.d != b.shape.d:
-        raise ShapeMismatchError(
-            f"cannot tensor local dimensions {a.shape.d} and {b.shape.d}"
-        )
-    shape = RegisterShape(
-        a.shape.d,
-        a.shape.num_qudits + b.shape.num_qudits,
-        max_dim=max(a.shape.max_dim, b.shape.max_dim),
-    )
-    return PureState(
-        shape, np.kron(a.amps, b.amps), normalized=a.normalized and b.normalized
-    )
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """<a|b>: conjugate-linear in ``a``, linear in ``b``."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, PSD up to rounding."""
-
-    __slots__ = ("shape", "entries")
-
-    HERMITICITY_TOL = 1e-12
-    TRACE_TOL = 1e-12
-    EIGENVALUE_FLOOR = -1e-10
-
-    def __init__(self, shape: RegisterShape, entries):
-        entries = np.array(entries, dtype=np.complex128)
-        if entries.shape != (shape.total, shape.total):
-            raise ShapeMismatchError(
-                f"expected a {shape.total}x{shape.total} matrix, got {entries.shape}"
-            )
-        herm = float(np.abs(entries - entries.conj().T).max())
-        if herm > self.HERMITICITY_TOL:
-            raise ValueError(f"matrix deviates from Hermitian by {herm:.3e}")
-        tr = complex(np.trace(entries))
-        if abs(tr - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        lo = float(np.linalg.eigvalsh(entries).min())
-        if lo < self.EIGENVALUE_FLOOR:
-            raise ValueError(f"eigenvalue {lo:.3e} below floor")
-        entries.setflags(write=False)
-        self.shape = shape
-        self.entries = entries
-
-    def __repr__(self):
-        return f"DensityMatrix(d={self.shape.d}, n={self.shape.num_qudits})"
-
-
-def partial_trace_keep(state: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qudits.
-
-    ``keep`` holds 1-based qudit positions; the reduced register orders
-    them ascending. Requires a normalized input state.
-    """
-    if not state.normalized:
-        raise ValueError("partial trace requires a normalized state")
-    positions = sorted({int(p) for p in keep})
-    n = state.shape.num_qudits
-    if not positions:
-        raise ValueError("keep set must be nonempty")
-    if positions[0] < 1 or positions[-1] > n:
-        raise ValueError(f"keep positions must lie in 1..{n}, got {positions}")
-    axes = [p - 1 for p in positions]
-    rest = [i for i in range(n) if i not in axes]
-    d = state.shape.d
-    block = (
-        state.amps.reshape((d,) * n)
-        .transpose(axes + rest)
-        .reshape(d ** len(axes), -1)
-    )
-    reduced_shape = RegisterShape(d, len(axes), max_dim=state.shape.max_dim)
-    return DensityMatrix(reduced_shape, block @ block.conj().T)
-
-
 class CatState:
     """M copies of one digit in superposition: sum_l coeffs[l] |l l ... l>."""
 
@@ -286,11 +198,6 @@ def sector_state(shape: RegisterShape, values) -> PureState:
     return PureState(shape, amps)
 
 
-def cat_to_pure_state(cat: CatState, *, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
-    """Expand a cat state into its dense M-qudit amplitude vector."""
-    return sector_state(RegisterShape(cat.d, cat.m, max_dim=max_dim), cat.coeffs)
-
-
 def random_cat_coeffs(d: int, seeds: Iterable[int]) -> np.ndarray:
     """Haar-like random cat coefficients as an (n, d) array, one row per
     seed: d complex Gaussians, the real parts drawn first, divided by their
@@ -317,8 +224,24 @@ def random_cat_state(d: int, m: int, seed: int) -> CatState:
     return CatState(d, m, random_cat_coeffs(d, [seed])[0])
 
 
-def uniform_superposition_chain(
-    d: int, num_qudits: int, *, max_dim: int = DEFAULT_MAX_DIM
-) -> PureState:
-    """The maximally entangled chain (1/sqrt(d)) sum_i |i i ... i>."""
-    return sector_state(RegisterShape(d, num_qudits, max_dim=max_dim), 1.0 / math.sqrt(d))
+def forward_to_dense(module: str, names: str):
+    """A module ``__getattr__`` (PEP 562) that hands out the ``names`` of
+    :mod:`catport.dense`, loading it on first use, so that importing
+    ``module`` never loads the dense reference code."""
+    names = frozenset(names.split())
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from . import dense
+
+        return getattr(dense, name)
+
+    return __getattr__
+
+
+__getattr__ = forward_to_dense(
+    __name__,
+    "basis_ket tensor inner DensityMatrix partial_trace_keep cat_to_pure_state"
+    " uniform_superposition_chain",
+)

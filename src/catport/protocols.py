@@ -43,8 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import bases
-from .bases import BasisLabel, MeasurementBasis, Rung
+from .bases import BasisLabel, Rung
 from .core import (
     DEFAULT_MAX_DIM,
     CatState,
@@ -52,11 +51,9 @@ from .core import (
     RegisterShape,
     ShapeMismatchError,
     cat_sector_indices,
-    cat_to_pure_state,
+    forward_to_dense,
     lists_each_index_once,
     sector_state,
-    tensor,
-    uniform_superposition_chain,
 )
 
 PROB_FLOOR = 1e-12
@@ -300,27 +297,18 @@ def _check_inputs(cat: CatState, spec: ProtocolSpec, max_dim: int) -> None:
     check_size(spec.d, spec.m, max_dim)
 
 
-def compose_joint_state(
-    cat: CatState, spec: ProtocolSpec, *, max_dim: int = DEFAULT_MAX_DIM
-) -> PureState:
-    """Cat state on particles 1..m tensored with the entangled chain on m+1..2m+1.
+# One family at a time: a dense family holds d**(2m+2) amplitudes, 64 MB at (2, 10).
+@lru_cache(maxsize=1)
+def _family_cached(rung: Rung):
+    from . import dense
 
-    The sender holds particles 1..m+1, the receiver m+2..2m+1.
-    """
-    _check_inputs(cat, spec, max_dim)
-    return tensor(
-        cat_to_pure_state(cat, max_dim=max_dim),
-        uniform_superposition_chain(spec.d, spec.m + 1, max_dim=max_dim),
-    )
+    return dense.label_basis(rung.d, rung.block, rung.labels(0, rung.rows))
 
 
-@lru_cache(maxsize=32)
-def _family_cached(rung: Rung) -> MeasurementBasis:
-    return bases.label_basis(rung.d, rung.block, rung.labels(0, rung.rows))
-
-
-def measurement_family(spec: ProtocolSpec) -> MeasurementBasis:
-    """The complete orthonormal family measured on the sender's m+1 qudits."""
+def measurement_family(spec: ProtocolSpec):
+    """The complete orthonormal family measured on the sender's m+1 qudits,
+    as a dense :class:`catport.dense.MeasurementBasis`: the reference the
+    sector engine is tested against, which the engine never builds."""
     return _family_cached(spec.rung)
 
 
@@ -392,7 +380,7 @@ def _label_pair(spec: ProtocolSpec, label: BasisLabel) -> int:
     rung = spec.rung
     row = rung.rank(label)
     if 0 <= row < rung.rows and rung.label(row) == label:
-        return int(rung.pairs(row, row + 1)[0])
+        return rung.pair(row)
     raise ValueError(
         f"label {label} does not belong to a {spec.kind.value} measurement "
         f"at d={spec.d}, m={spec.m}"
@@ -683,3 +671,6 @@ def barred_equivalence_check(
     prob_deltas, state_deltas = _equivalence_deltas(
         coeffs, branched, (many_used, *many), _single_side(d))
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))
+
+
+__getattr__ = forward_to_dense(__name__, "compose_joint_state")

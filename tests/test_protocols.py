@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 from itertools import product
@@ -382,6 +383,26 @@ class TestMeasurementFamily:
         spec = ProtocolSpec(ProtocolKind.BARRED, 2, 2)
         assert measurement_family(spec) is measurement_family(spec)
 
+    def test_family_cache_holds_one_family(self):
+        # Three families of about 1 MB of amplitudes each: after each build,
+        # only the newest stays held, not the ones before it.
+        specs = [ProtocolSpec(ProtocolKind.BARRED, 2, 7), ProtocolSpec(ProtocolKind.BELL, 3, 4),
+                 ProtocolSpec(ProtocolKind.GHZ, 4, 3)]
+        measurement_family(ProtocolSpec(ProtocolKind.BARRED, 2, 1))  # loads the dense module
+        protocols._family_cached.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for spec in specs:
+                measurement_family(spec)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - base
+                assert held < 1.5 * 16 * spec.rung.rows ** 2, (spec, held)
+        finally:
+            tracemalloc.stop()
+            protocols._family_cached.cache_clear()
+
 
 class TestProtocolInvariants:
     @pytest.mark.parametrize("d,m", [(2, 2), (3, 2), (2, 3)])
@@ -562,10 +583,11 @@ class TestRunProtocol:
                 assert sampled.probability == listed.probability
                 assert sampled.fidelity == listed.fidelity, (spec, seed)
                 assert sampled.correction is listed.correction
+                # Bytes, not np.array_equal, which takes -0.0 for +0.0: the
+                # CLI writes the two differently.
                 for state in ("bob_pre_correction", "bob_post_correction"):
-                    assert np.array_equal(
-                        getattr(sampled, state).amps, getattr(listed, state).amps
-                    )
+                    assert (getattr(sampled, state).amps.tobytes()
+                            == getattr(listed, state).amps.tobytes())
 
     def test_covers_every_nonzero_outcome(self):
         cat = random_cat_state(2, 2, 5)
@@ -649,7 +671,8 @@ def test_rung_rows_pairs_and_labels_agree(spec):
     assert labels[:head] == [label for start in range(0, head, 7)
                              for label in rung.labels(start, min(start + 7, head))]
     for row, label in enumerate(labels):
-        assert protocols._label_pair(spec, label) == rung.pairs(row, row + 1)[0] == pairs[row]
+        assert (protocols._label_pair(spec, label) == rung.pair(row)
+                == rung.pairs(row, row + 1)[0] == pairs[row])
         assert protocols._live_label(spec, row) == label
         assert rung.rank(label) == row
     for start, stop in [(-1, 1), (0, rung.rows + 1), (2, 1)]:
