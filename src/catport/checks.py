@@ -26,13 +26,13 @@ sums add live rows in row order with ``np.cumsum``, one rounding each on
 every Python; the builtin ``sum`` compensates from 3.12 on, and ``np.sum``
 adds pairwise.
 
-The d**2 corrections of a register are built one at a time by
-:func:`protocols._register_images`, which certifies each, reads its sector
-images and drops it. The fold tables read from those images, for the
-collective side and the single-particle side, and the ladder positions,
-whose masks give both equivalence sides, depend on (d, m) alone and are
-built once per (d, m) in :func:`_check_plan`, like the basis certificate in
-:func:`_basis_error`; a call does only its cat blocks.
+What depends on (d, m) alone is built once per (d, m): the basis
+certificate in :func:`_basis_error`, and everything else in one
+:func:`protocols._check_plan`. The plan certifies the register's d**2
+corrections one at a time, reads their sector images into fold tables and
+keeps the ladder positions, whose masks give the equivalence's collective
+side. The single-particle side is the plan at m = 1. A call does only its
+cat blocks.
 """
 
 from __future__ import annotations
@@ -40,22 +40,16 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import bases
 from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_coeffs
 from .protocols import (
-    FoldTables,
-    LadderPosition,
+    _check_plan,
     _equivalence_deltas,
     _fold_corrections,
-    _fold_tables,
-    _ladder_positions,
     _pair_branches,
-    _register_images,
-    _single_side,
     check_size,
     protocol_specs,
 )
@@ -153,52 +147,6 @@ def _basis_error(d: int, m: int) -> float:
 CHECK_BLOCK_ENTRIES = 1 << 18
 
 
-class _CheckPlan(NamedTuple):
-    """What :func:`run_all_checks` reads at (d, m) whatever the cats."""
-
-    unitarity_err: float
-    fold: FoldTables
-    positions: tuple[LadderPosition, ...]
-    lives: list[int]
-    shares: np.ndarray
-    masks: np.ndarray
-    own_pairs: np.ndarray
-    missing_shifts: int
-    collective: int
-    single: tuple[np.ndarray, FoldTables]
-    many_rows: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _check_plan(d: int, m: int) -> _CheckPlan:
-    """The work of :func:`run_all_checks` that depends on (d, m) alone: the
-    corrections' certificate, from :func:`protocols._register_images`, which
-    keeps no correction, the fold tables of the used pairs and of the
-    single-particle side, and the ladder positions with their masks and
-    shares. A process builds it once per (d, m)."""
-    positions = _ladder_positions(d, m)[0]
-    masks = np.array([position.used for position in positions])
-    # Outcomes with the same (shift, phase) pair share one correction.
-    pairs = np.flatnonzero(masks.any(axis=0))
-    unitarity_err, images = _register_images(d, m)
-
-    # The ladder positions are one stacked axis of the branches and the fold.
-    lives = [position.live for position in positions]
-    shares = np.array([1.0 / live for live in lives])[:, None, None]
-    # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
-    # has shift s; with no such live row, it would land on a forbidden one.
-    missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
-
-    # GHZ(m), or barred at m = 1, is the first position with d**2 live rows.
-    collective = lives.index(d * d)
-    many_rows = np.searchsorted(pairs, np.flatnonzero(masks[collective]))
-    own_pairs = masks[:, None, pairs]
-    for array in (pairs, shares, masks, own_pairs, many_rows):
-        array.setflags(write=False)
-    return _CheckPlan(unitarity_err, _fold_tables(pairs, images), positions, lives, shares,
-                      masks, own_pairs, missing_shifts, collective, _single_side(d), many_rows)
-
-
 def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
@@ -207,12 +155,10 @@ def run_all_checks(
     # Before anything is built: listing the m + 4 specs of a huge register is slow.
     check_size(d, m, max_dim)
     basis_err = _basis_error(d, m)
-    (unitarity_err, fold, positions, lives, shares, masks, own_pairs, missing_shifts,
-     collective, single, many_rows) = _check_plan(d, m)
-    pairs = fold.pairs
+    plan = _check_plan(d, m)
 
-    def worst(errors):  # over positions x cats x ``pairs``, at each position's own pairs
-        return float(np.where(own_pairs, errors, 0.0).max())
+    def worst(errors):  # over positions x cats x ``plan.fold.pairs``, at each position's own pairs
+        return float(np.where(plan.own_pairs, errors, 0.0).max())
 
     sum_err = 0.0
     fidelity_err = 0.0
@@ -222,32 +168,32 @@ def run_all_checks(
     signaling_err = 0.0
     equivalence_err = 0.0
     receiver = np.arange(d)
-    block_cats = max(1, CHECK_BLOCK_ENTRIES // (d ** 3 * len(lives)))
+    block_cats = max(1, CHECK_BLOCK_ENTRIES // (d ** 3 * len(plan.lives)))
     for start in range(0, seeds, block_cats):
         block = random_cat_coeffs(d, range(start, min(start + block_cats, seeds)))
         cats = len(block)
         # The first block also carries the first cat with a global phase, last.
         stack = np.concatenate([block, block[:1] * np.exp(0.73j)]) if start == 0 else block
         # At each position the first d**k rows can occur, each with probability 1/d**k.
-        branched = _pair_branches(stack, lives)
-        folded, leaked, fidelities = _fold_corrections(stack, branched, fold)
-        probabilities = branched[1][..., pairs]
+        branched = _pair_branches(stack, plan.lives)
+        folded, leaked, fidelities = _fold_corrections(stack, branched, plan.fold)
+        probabilities = branched[1][..., plan.fold.pairs]
         if start == 0:
             twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
             phase_err = max(phase_err, *map(worst, twisted))
         # Row order, as a running sum over the outcome records adds them.
-        for position, (live, _, columns) in zip(branched[1], positions):
+        for position, (live, _, columns) in zip(branched[1], plan.positions):
             chunk = max(1, (CHECK_BLOCK_ENTRIES >> 4) // live)
             for live_pairs in columns:
                 for first in range(0, cats, chunk):
                     rows = position[first : min(first + chunk, cats), live_pairs]
                     totals = np.cumsum(rows, axis=1, out=rows)[:, -1]
                     sum_err = max(sum_err, float(np.abs(totals - 1.0).max()))
-        uniformity_err = max(uniformity_err, worst(np.abs(probabilities[:, :cats] - shares)))
+        uniformity_err = max(uniformity_err, worst(np.abs(probabilities[:, :cats] - plan.shares)))
         fidelity_err = max(fidelity_err, worst(np.abs(fidelities[:, :cats] - 1.0)))
-        if missing_shifts:  # else every term is 0.0
+        if plan.missing_shifts:  # else every term is 0.0
             norms = (float(np.vdot(coeffs, coeffs).real) for coeffs in block)
-            selection_err = max(selection_err, *(missing_shifts * norm / d for norm in norms))
+            selection_err = max(selection_err, *(plan.missing_shifts * norm / d for norm in norms))
 
         # The receiver's reduced state from the d**2 nonzero joint amplitudes
         # alpha_l / sqrt(d) on sender (l..l, i) and receiver (i..i), traced over
@@ -259,18 +205,17 @@ def run_all_checks(
         rho = traced @ traced.conj().transpose(0, 2, 1)
         signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
 
-        shared = (branched[0][collective, :cats], branched[1][collective, :cats])
-        many = (masks[collective],
-                *(side[collective][:cats, many_rows] for side in (folded, leaked)))
-        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, many, single)
+        shared = (branched[0][plan.collective, :cats], branched[1][plan.collective, :cats])
+        many = (folded[plan.collective, :cats], leaked[plan.collective, :cats])
+        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, plan, *many)
         equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
-        # Free the block's branches and fold, with the equivalence's views and
-        # copies of them, before the next block builds its own.
+        # Free the block's branches and fold, with the equivalence's views of
+        # them, before the next block builds its own.
         del branched, folded, shared, many
 
     return [
         _result("basis_orthonormality", basis_err, 1e-12),
-        _result("correction_unitarity", unitarity_err, 1e-12),
+        _result("correction_unitarity", plan.unitarity_err, 1e-12),
         _result("probability_completeness", sum_err, 1e-10),
         _result("perfect_teleportation", fidelity_err, 1e-10),
         _result("selection_rule", selection_err, 1e-12),

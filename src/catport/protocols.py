@@ -436,7 +436,6 @@ def _unitarity_error(correction: MonomialOperator) -> float:
     return float(np.abs(deviations).max())
 
 
-@lru_cache(maxsize=32)
 def _register_images(d: int, num_qudits: int):
     """The worst :func:`_unitarity_error` of the register's d**2 corrections,
     and their images on the sector as two read-only (d**2, d) tables: row p
@@ -444,7 +443,7 @@ def _register_images(d: int, num_qudits: int):
     correction sends |i..i> to, or -1 off the sector, and the factor.
 
     Each correction is built, read and dropped in turn, so one at a time is
-    held and none is stored."""
+    held and none is stored. :func:`_check_plan` keeps what it returns."""
     sector = cat_sector_indices(d, num_qudits)
     slots = np.empty((d * d, d), dtype=np.int64)
     factors = np.empty((d * d, d), dtype=np.complex128)
@@ -618,29 +617,72 @@ def _fold_corrections(coeffs: np.ndarray, branched, tables: FoldTables):
     return folded, leaked, fidelities
 
 
-def _single_side(d: int) -> tuple[np.ndarray, FoldTables]:
-    """The single-particle side of :func:`barred_equivalence_check`: the mask
-    of its live pairs, Bell at m = 1, and their fold tables."""
-    used = _ladder_positions(d, 1)[0][0].used
-    return used, _fold_tables(np.flatnonzero(used), _register_images(d, 1)[1])
+class _CheckPlan(NamedTuple):
+    """What :func:`catport.checks.run_all_checks` and
+    :func:`barred_equivalence_check` read at (d, m) whatever the cats."""
+
+    unitarity_err: float
+    fold: FoldTables
+    positions: tuple[LadderPosition, ...]
+    lives: list[int]
+    shares: np.ndarray
+    masks: np.ndarray
+    own_pairs: np.ndarray
+    missing_shifts: int
+    collective: int
+    many_rows: np.ndarray
 
 
-def _equivalence_deltas(coeffs, branched, many, single) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _check_plan(d: int, m: int) -> _CheckPlan:
+    """The checks' work that depends on (d, m) alone: the corrections'
+    certificate, from :func:`_register_images`, which keeps no correction,
+    the fold tables of the used pairs, and the ladder positions with their
+    masks and shares. The collective side of the equivalence is the first
+    position with d**2 live rows, GHZ(m) or barred at m = 1, and its rows in
+    the fold are ``many_rows``. At m = 1 every spec shares one position, so
+    the plan at m = 1 is the single-particle side. A process builds each
+    plan once."""
+    positions = _ladder_positions(d, m)[0]
+    masks = np.array([position.used for position in positions])
+    # Outcomes with the same (shift, phase) pair share one correction.
+    pairs = np.flatnonzero(masks.any(axis=0))
+    unitarity_err, images = _register_images(d, m)
+
+    # The ladder positions are one stacked axis of the branches and the fold.
+    lives = [position.live for position in positions]
+    shares = np.array([1.0 / live for live in lives])[:, None, None]
+    # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
+    # has shift s; with no such live row, it would land on a forbidden one.
+    missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
+
+    collective = lives.index(d * d)
+    many_rows = np.searchsorted(pairs, np.flatnonzero(masks[collective]))
+    own_pairs = masks[:, None, pairs]
+    for array in (pairs, shares, masks, own_pairs, many_rows):
+        array.setflags(write=False)
+    return _CheckPlan(unitarity_err, _fold_tables(pairs, images), positions, lives, shares,
+                      masks, own_pairs, missing_shifts, collective, many_rows)
+
+
+def _equivalence_deltas(coeffs, branched, plan: _CheckPlan, folded, leaked):
     """The largest probability delta and the largest state delta of
     :func:`barred_equivalence_check`, one entry per cat of the stack
     ``coeffs`` (one row of d coefficients each), from both sides' shared
-    ``branched = _pair_branches(coeffs, d**2)``: the collective side's
-    ``many = (used, folded, leaked)``, its live pairs' mask and their fold,
-    and the single side's ``single = _single_side(d)``, folded here. Each
-    cat gets the bits it gets alone."""
-    (many_used, many_post, leaked), (single_used, tables) = many, single
+    ``branched = _pair_branches(coeffs, d**2)`` and the collective position's
+    ``folded, leaked = _fold_corrections(coeffs, branched, plan.fold)[:2]``.
+    The single side is the plan at m = 1, folded here. Each cat gets the
+    bits it gets alone."""
+    single = _check_plan(coeffs.shape[-1], 1)
+    many_used, single_used = plan.masks[plan.collective], single.masks[0]
     many_p, single_p = (np.where(used, branched[1], 0.0) for used in (many_used, single_used))
     prob_deltas = np.abs(many_p - single_p).max(axis=-1)
     if not np.array_equal(many_used, single_used):
         return prob_deltas, np.ones_like(prob_deltas)
-    single_post = _fold_corrections(coeffs, branched, tables)[0]
+    many_post = folded[..., plan.many_rows, :]
+    single_post = _fold_corrections(coeffs, branched, single.fold)[0]
     state_deltas = np.abs(many_post - single_post).max(axis=(-2, -1))
-    return prob_deltas, np.maximum(state_deltas, leaked.max(axis=-1))
+    return prob_deltas, np.maximum(state_deltas, leaked[..., plan.many_rows].max(axis=-1))
 
 
 def barred_equivalence_check(
@@ -661,15 +703,11 @@ def barred_equivalence_check(
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
     check_size(d, m, max_dim)
+    plan = _check_plan(d, m)
     coeffs = cat.coeffs[None]
     branched = _pair_branches(coeffs, d * d)
-    # GHZ(m), or barred at m = 1, is the first ladder position with d**2 live rows.
-    positions = _ladder_positions(d, m)[0]
-    many_used = next(position.used for position in positions if position.live == d * d)
-    tables = _fold_tables(np.flatnonzero(many_used), _register_images(d, m)[1])
-    many = _fold_corrections(coeffs, branched, tables)[:2]
-    prob_deltas, state_deltas = _equivalence_deltas(
-        coeffs, branched, (many_used, *many), _single_side(d))
+    folded, leaked = _fold_corrections(coeffs, branched, plan.fold)[:2]
+    prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, plan, folded, leaked)
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))
 
 

@@ -5,12 +5,13 @@ which stay here as the reference."""
 import math
 import time
 import tracemalloc
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
 from test_sector_oracle import ORACLE_GRID
 
-from catport import bases, checks, protocols
+from catport import bases, checks, core, dense, protocols
 from catport.bases import BasisFamily, BellLabel, build_basis, verify_orthonormal_complete
 from catport.checks import run_all_checks
 from catport.core import (
@@ -47,138 +48,110 @@ def failures(d, m, seeds):
     return {r.name for r in results if not r.passed}
 
 
-@pytest.fixture()
-def fresh_corrections():
-    """Drop the stored corrections, the sector images and the check plans
-    that certify them before and after, so a patched constructor reaches the
-    checks and leaves nothing behind for other tests."""
-    protocols._register_corrections.cache_clear()
-    protocols._register_images.cache_clear()
-    checks._check_plan.cache_clear()
-    yield
-    protocols._register_corrections.cache_clear()
-    protocols._register_images.cache_clear()
-    checks._check_plan.cache_clear()
+# The tables each owner feeds: a warm mutant run clears these, and only these,
+# so a table kept anywhere else would hide the mutant.
+CORRECTIONS = (protocols._register_corrections, protocols._check_plan)
+BASIS = (checks._basis_error,)
+LADDER = (protocols._ladder_pairs, protocols._ladder_positions, protocols._check_plan)
+EVERY_TABLE = tuple(
+    value for module in (core, bases, protocols, checks) for value in vars(module).values()
+    if callable(getattr(value, "cache_clear", None))
+)
+
+
+def clear(tables):
+    for table in tables:
+        table.cache_clear()
 
 
 @pytest.fixture()
 def fresh_basis_certificate():
-    checks._basis_error.cache_clear()
+    clear(BASIS)
     yield
-    checks._basis_error.cache_clear()
+    clear(BASIS)
 
 
-class TestMutations:
-    def test_unbroken_code_passes(self):
-        assert failures(3, 2, 3) == set()
+@pytest.fixture()
+def fresh_ladder():
+    """Drop the live-pair columns, the ladder positions and the check plans
+    built from them before and after, so a patched column reaches both
+    equivalence sides and leaves nothing behind for other tests."""
+    clear(LADDER)
+    yield
+    clear(LADDER)
 
-    def test_correction_phase_off_by_one(self, monkeypatch, fresh_corrections):
-        build = protocols.cat_sector_correction
-        monkeypatch.setattr(
-            protocols, "cat_sector_correction",
-            lambda d, n, phase_power, shift: build(d, n, phase_power + 1, shift),
-        )
-        assert "perfect_teleportation" in failures(3, 2, 3)
 
-    def test_correction_swaps_image_of_ket_0_and_ket_1(self, monkeypatch, fresh_corrections):
-        build = protocols.cat_sector_correction
+class Mutant(NamedTuple):
+    """``owner.attribute`` broken by ``mutate``, which takes the unbroken
+    value, and the exact set of suites it fails at ``point = (d, m, seeds)``.
+    ``caches`` are the tables built from the owner, and ``also``, if given,
+    makes more assertions under the mutant."""
 
-        def swapped(d, n, phase_power, shift):
-            good = build(d, n, phase_power, shift)
-            perm, phases = good.perm.copy(), good.phase_exp.copy()
-            perm[[0, 1]] = perm[[1, 0]]
-            phases[[0, 1]] = phases[[1, 0]]
-            return MonomialOperator(d, n, perm, phases)
+    owner: object
+    attribute: str
+    mutate: Callable
+    fails: frozenset
+    caches: tuple = ()
+    point: tuple = (3, 2, 3)
+    also: Optional[Callable] = None
 
-        monkeypatch.setattr(protocols, "cat_sector_correction", swapped)
-        assert failures(3, 2, 3) & {"perfect_teleportation", "barred_equivalence"}
 
-    def test_corrupted_barred_bell_amplitude(self, monkeypatch, fresh_basis_certificate):
-        build = bases.sector_terms
+def check_mutant(monkeypatch, mutant, modes=(False, True)):
+    """Apply ``mutant`` to a process with no table built, then to one whose
+    tables were built unbroken and only the mutant's ``caches`` dropped: it
+    must fail exactly its suites both times, or in each warm value of
+    ``modes``. Nothing built under it is kept."""
+    try:
+        for warm in modes:
+            clear(EVERY_TABLE)
+            if warm:
+                assert failures(*mutant.point) == set()
+                clear(mutant.caches)
+            unbroken = getattr(mutant.owner, mutant.attribute)
+            monkeypatch.setattr(mutant.owner, mutant.attribute, mutant.mutate(unbroken))
+            if mutant.also is not None:
+                mutant.also()
+            assert failures(*mutant.point) == mutant.fails, "warm" if warm else "cold"
+            monkeypatch.undo()
+    finally:
+        monkeypatch.undo()
+        clear(EVERY_TABLE)
 
-        def corrupted(d, block, labels):
-            kets, amplitudes = build(d, block, labels)
-            if np.shape(labels)[1] == 2:  # barred Bell: flip one sign of bell(0,0)
-                amplitudes[(np.asarray(labels) == 0).all(axis=1), 0] *= -1
-            return kets, amplitudes
 
-        monkeypatch.setattr(bases, "sector_terms", corrupted)
-        assert "basis_orthonormality" in failures(3, 2, 3)
+def phase_off_by_one(build):
+    return lambda d, n, phase_power, shift: build(d, n, phase_power + 1, shift)
 
-    # bell(0,0)'s term on |0..0> moves onto ket 1, (0..0, 1), on another
-    # Bell state's kets, or onto ket 3, at d = 3 the complement ket (0, 1, 0)
-    # of the two-digit block. bell(1,0)'s term on |1..1> moves one ket up,
-    # and its least ket, by which groups are found, stays.
-    @pytest.mark.parametrize(
-        "label, term, target", [((0, 0), 0, 1), ((0, 0), 0, 3), ((1, 0), 1, None)]
-    )
-    def test_barred_bell_term_on_a_wrong_ket(
-        self, monkeypatch, fresh_basis_certificate, label, term, target
-    ):
-        build = bases.sector_terms
 
-        def moved(d, block, labels):
-            kets, amplitudes = build(d, block, labels)
-            if np.shape(labels)[1] == 2:
-                row = (np.asarray(labels) == label).all(axis=1)
-                kets[row, term] = kets[row, term] + 1 if target is None else target
-            return kets, amplitudes
+def single_particle_phase_off_by_one(build):
+    # Only the one-qudit register's corrections are wrong, and only the
+    # single-particle side of the equivalence applies them: its images
+    # must come from that register, not from the m-qudit one.
+    return lambda d, n, phase_power, shift: build(d, n, phase_power + (n == 1), shift)
 
-        monkeypatch.setattr(bases, "sector_terms", moved)
-        assert "basis_orthonormality" in failures(3, 2, 3)
 
-    # Row 0's first two terms trade places, kets and amplitudes together: the
-    # same state, listed out of ket order. The certificate reads each row in
-    # ket order, as the dense vector lists it, and must not re-sort it.
-    @pytest.mark.parametrize("d, block, width", [(3, 2, 2), (3, 2, 3), (5, 0, 1)])
-    def test_row_out_of_ket_order_fails_its_family(self, monkeypatch, d, block, width):
-        build = bases.sector_terms
+def swapped_shift_and_phase(build):
+    return lambda d, n, phase_power, shift: build(d, n, shift, phase_power)
 
-        def swapped(d, block, labels):
-            kets, amplitudes = build(d, block, labels)
-            kets[0, :2], amplitudes[0, :2] = kets[0, 1::-1].copy(), amplitudes[0, 1::-1].copy()
-            return kets, amplitudes
 
-        monkeypatch.setattr(bases, "sector_terms", swapped)
-        assert checks._sector_family_error(d, block, width) == 1.0
+def swaps_image_of_ket_0_and_ket_1(build):
+    def swapped(d, n, phase_power, shift):
+        good = build(d, n, phase_power, shift)
+        perm, phases = good.perm.copy(), good.phase_exp.copy()
+        perm[[0, 1]] = perm[[1, 0]]
+        phases[[0, 1]] = phases[[1, 0]]
+        return MonomialOperator(d, n, perm, phases)
 
-    def test_branch_probabilities_that_follow_arg_alpha_0(self, monkeypatch):
-        # Every branch of a cat scaled by 1 + 1e-11 * arg(alpha_0): each
-        # probability moves by at most 2e-11 * pi / d**k and each total by at
-        # most 6.3e-11, inside the 1e-10 tolerances, and the fold divides the
-        # scale out again. The cat with a global phase has its arg(alpha_0)
-        # moved by 0.73, so at d**k = 9 its probabilities move by 1.6e-12.
-        branches = checks._pair_branches
+    return swapped
 
-        def phased(coeffs, live):
-            b, probabilities = branches(coeffs, live)
-            scale = 1 + 1e-11 * np.angle(coeffs[..., 0])
-            return b * scale[..., None, None], probabilities * scale[..., None] ** 2
 
-        monkeypatch.setattr(checks, "_pair_branches", phased)
-        assert failures(3, 2, 3) == {"global_phase_invariance"}
-
-    def test_single_particle_correction_phase_off_by_one(self, monkeypatch, fresh_corrections):
-        # Only the one-qudit register's corrections are wrong, and only the
-        # single-particle side of the equivalence applies them: its images
-        # must come from that register, not from the m-qudit one.
-        build = protocols.cat_sector_correction
-        monkeypatch.setattr(
-            protocols, "cat_sector_correction",
-            lambda d, n, phase_power, shift: build(d, n, phase_power + (n == 1), shift),
-        )
-        assert failures(3, 2, 3) == {"barred_equivalence"}
-
-    @pytest.mark.parametrize("broken", ["repeated_target", "factor_off_the_circle"])
-    def test_corrupted_correction_fails_unitarity(self, monkeypatch, fresh_corrections, broken):
-        # Built past the constructor's validation, and on ket |0..01> of the
-        # m-qudit register, which is off the sector, so no branch sees it:
-        # only the certificate can.
-        build = protocols.cat_sector_correction
-
+def corrupted_correction(broken, registers):
+    """Built past the constructor's validation, on ket |0..01> of each
+    register ``n`` with ``registers(n)``. Off the one-qudit register that ket
+    is off the sector, so no branch sees it: only the certificate can."""
+    def mutate(build):
         def corrupted(d, n, phase_power, shift):
             good = build(d, n, phase_power, shift)
-            if n == 1:
+            if not registers(n):
                 return good
             bad = object.__new__(MonomialOperator)
             bad.d, bad.num_qudits, bad.phase_exp = d, n, good.phase_exp
@@ -189,67 +162,134 @@ class TestMutations:
                 bad.factors[1] *= 1 + 1e-9
             return bad
 
-        monkeypatch.setattr(protocols, "cat_sector_correction", corrupted)
-        assert failures(3, 2, 3) == {"correction_unitarity"}
+        return corrupted
 
-    @pytest.mark.parametrize("broken", ["drops_last_ket", "repeats_first_ket"])
-    def test_complement_indices_miss_the_off_support_kets(
-        self, monkeypatch, fresh_basis_certificate, broken
-    ):
-        build = bases.complement_indices
-
-        def miscounted(d, num_qudits, block):
-            kets = build(d, num_qudits, block)
-            return kets[:-1] if broken == "drops_last_ket" else np.append(kets, kets[:1])
-
-        monkeypatch.setattr(bases, "complement_indices", miscounted)
-        assert "basis_orthonormality" in failures(3, 2, 3)
+    return mutate
 
 
-def phase_off_by_one(build):
-    return lambda d, n, phase_power, shift: build(d, n, phase_power + 1, shift)
-
-
-def repeated_target(build):
-    def corrupted(d, n, phase_power, shift):
-        good = build(d, n, phase_power, shift)
-        bad = object.__new__(MonomialOperator)
-        bad.d, bad.num_qudits, bad.phase_exp = d, n, good.phase_exp
-        bad.perm, bad.factors = good.perm.copy(), good.factors.copy()
-        bad.perm[1] = bad.perm[0]
-        return bad
+def corrupted_barred_bell_amplitude(build):
+    def corrupted(d, block, labels):
+        kets, amplitudes = build(d, block, labels)
+        if np.shape(labels)[1] == 2:  # barred Bell: flip one sign of bell(0,0)
+            amplitudes[(np.asarray(labels) == 0).all(axis=1), 0] *= -1
+        return kets, amplitudes
 
     return corrupted
 
 
-@pytest.mark.parametrize("broken, failed", [(phase_off_by_one, "perfect_teleportation"),
-                                            (repeated_target, "correction_unitarity")])
-def test_warm_plan_does_not_hide_a_mutated_constructor(request, monkeypatch, broken, failed):
-    assert failures(3, 2, 3) == set()  # the plan at (3, 2) is warm
-    request.getfixturevalue("fresh_corrections")
-    monkeypatch.setattr(
-        protocols, "cat_sector_correction", broken(protocols.cat_sector_correction)
-    )
-    assert failed in failures(3, 2, 3)
+def barred_bell_term_on_a_wrong_ket(label, term, target):
+    def mutate(build):
+        def moved(d, block, labels):
+            kets, amplitudes = build(d, block, labels)
+            if np.shape(labels)[1] == 2:
+                row = (np.asarray(labels) == label).all(axis=1)
+                kets[row, term] = kets[row, term] + 1 if target is None else target
+            return kets, amplitudes
+
+        return moved
+
+    return mutate
 
 
-def swapped_shift_and_phase(build):
-    return lambda d, n, phase_power, shift: build(d, n, shift, phase_power)
+def row_out_of_ket_order(family):
+    """Row 0's first two terms trade places, kets and amplitudes together, in
+    the family ``family = (d, block, width)`` alone: the same state, listed
+    out of ket order. The certificate reads each row in ket order, as the
+    dense vector lists it, and must not re-sort it."""
+    def mutate(build):
+        def swapped(d, block, labels):
+            kets, amplitudes = build(d, block, labels)
+            if (d, block, np.shape(labels)[1]) == family:
+                kets[0, :2], amplitudes[0, :2] = kets[0, 1::-1].copy(), amplitudes[0, 1::-1].copy()
+            return kets, amplitudes
+
+        return swapped
+
+    return mutate
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, warm):
+def family_is_not_certified(family):
+    def check():
+        assert checks._sector_family_error(*family) == 1.0
+
+    return check
+
+
+def complement_indices_miss_the_off_support_kets(broken):
+    def mutate(build):
+        def miscounted(d, num_qudits, block):
+            kets = build(d, num_qudits, block)
+            return kets[:-1] if broken == "drops_last_ket" else np.append(kets, kets[:1])
+
+        return miscounted
+
+    return mutate
+
+
+def branch_probabilities_that_follow_arg_alpha_0(branches):
+    # Every branch of a cat scaled by 1 + 1e-11 * arg(alpha_0): each
+    # probability moves by at most 2e-11 * pi / d**k and each total by at
+    # most 6.3e-11, inside the 1e-10 tolerances, and the fold divides the
+    # scale out again. The cat with a global phase has its arg(alpha_0)
+    # moved by 0.73, so at d**k = 9 its probabilities move by 1.6e-12.
+    def phased(coeffs, live):
+        b, probabilities = branches(coeffs, live)
+        scale = 1 + 1e-11 * np.angle(coeffs[..., 0])
+        return b * scale[..., None, None], probabilities * scale[..., None] ** 2
+
+    return phased
+
+
+def branches_scaled_by_1_plus_1e_9(branches):
+    # The fold divides the scale out again, so only the probabilities show it.
+    def scaled(coeffs, live):
+        b, probabilities = branches(coeffs, live)
+        return b * (1 + 1e-9), probabilities * (1 + 1e-9) ** 2
+
+    return scaled
+
+
+def unconjugated_rephase(tables):
+    def rephased(d):
+        source, rephase = tables(d)
+        return source, rephase.conj()
+
+    return rephased
+
+
+def hybrid_columns_lose_their_shift(ladder_pairs):
+    def lost(rung):  # the hybrids k = 2..m; k = m + 1 is Bell's rung
+        pairs = ladder_pairs(rung)
+        return pairs % rung.d if rung.joint and rung.k <= rung.m else pairs
+
+    return lost
+
+
+def ghz_column_repeats_pair_0(ladder_pairs):
+    # A GHZ column that repeats pair 0 where pair 1 was leaves pair 1 live on
+    # the single-particle side only. Both the one-cat check and the stacked
+    # suite read that mask from the ladder positions, and nothing else fails.
+    def repeated(rung):
+        pairs = ladder_pairs(rung)
+        if rung.ghz:
+            pairs = pairs.copy()
+            pairs[1] = pairs[0]
+            pairs.setflags(write=False)
+        return pairs
+
+    return repeated
+
+
+def one_cat_check_sees_the_repeated_pair():
+    report = protocols.barred_equivalence_check(random_cat_state(3, 2, 0), 3, 2)
+    assert report.max_state_delta == 1.0
+
+
+def engine_records_apply_their_own_correction():
     # Both the engine's stored corrections and the plan's sector images split
     # a pair into (shift, phase) in one place, so a constructor that takes
     # them the wrong way round fails both. The engine's records apply the
     # correction they carry, so their fidelities show it too.
-    if warm:
-        assert failures(3, 2, 3) == set()
-    request.getfixturevalue("fresh_corrections")
-    monkeypatch.setattr(
-        protocols, "cat_sector_correction", swapped_shift_and_phase(protocols.cat_sector_correction)
-    )
-    assert "perfect_teleportation" in failures(3, 2, 3)
     cat, spec = random_cat_state(3, 2, 0), protocol_specs(3, 2)[0]
     records = enumerate_outcomes(cat, spec)[:27]  # Bell's live rows
     sampled = [run_protocol(cat, spec, seed) for seed in range(10)]
@@ -263,37 +303,106 @@ def test_one_pair_encoding_for_the_engine_and_the_checks(request, monkeypatch, w
         assert min(record.fidelity for record in group) < 0.99
 
 
-@pytest.fixture()
-def fresh_ladder():
-    """Drop the live-pair columns, the ladder positions and the check plans
-    built from them before and after, so a patched column reaches both
-    equivalence sides and leaves nothing behind for other tests."""
-    caches = (protocols._ladder_pairs, protocols._ladder_positions, checks._check_plan)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
+CONSTRUCTOR = (protocols, "cat_sector_correction")
+TERMS = (bases, "sector_terms")
+BASIS_FAILS = frozenset({"basis_orthonormality"})
+
+# Every mutant, by the TestMutations test that applies it: ``name`` alone, or
+# ``name[id]`` with the test's parameter id.
+MUTANTS = {
+    "correction_phase_off_by_one": Mutant(
+        *CONSTRUCTOR, phase_off_by_one, frozenset({"perfect_teleportation"}), CORRECTIONS),
+    "correction_swaps_image_of_ket_0_and_ket_1": Mutant(
+        *CONSTRUCTOR, swaps_image_of_ket_0_and_ket_1,
+        frozenset({"perfect_teleportation", "barred_equivalence"}), CORRECTIONS),
+    "single_particle_correction_phase_off_by_one": Mutant(
+        *CONSTRUCTOR, single_particle_phase_off_by_one, frozenset({"barred_equivalence"}),
+        CORRECTIONS),
+    **{f"corrupted_correction_fails_unitarity[{broken}]": Mutant(
+        *CONSTRUCTOR, corrupted_correction(broken, lambda n: n > 1),
+        frozenset({"correction_unitarity"}), CORRECTIONS)
+       for broken in ("repeated_target", "factor_off_the_circle")},
+    "corrupted_correction_fails_unitarity[repeated_target_on_every_register]": Mutant(
+        *CONSTRUCTOR, corrupted_correction("repeated_target", lambda n: True),
+        frozenset({"correction_unitarity", "barred_equivalence"}), CORRECTIONS),
+    "corrupted_barred_bell_amplitude": Mutant(
+        *TERMS, corrupted_barred_bell_amplitude, BASIS_FAILS, BASIS),
+    # bell(0,0)'s term on |0..0> moves onto ket 1, (0..0, 1), on another
+    # Bell state's kets, or onto ket 3, at d = 3 the complement ket (0, 1, 0)
+    # of the two-digit block. bell(1,0)'s term on |1..1> moves one ket up,
+    # and its least ket, by which groups are found, stays.
+    **{f"barred_bell_term_on_a_wrong_ket[label{i}-{term}-{target}]": Mutant(
+        *TERMS, barred_bell_term_on_a_wrong_ket(label, term, target), BASIS_FAILS, BASIS)
+       for i, (label, term, target) in enumerate([((0, 0), 0, 1), ((0, 0), 0, 3),
+                                                  ((1, 0), 1, None)])},
+    **{"row_out_of_ket_order_fails_its_family[{}-{}-{}]".format(*family): Mutant(
+        *TERMS, row_out_of_ket_order(family), BASIS_FAILS, BASIS, (family[0], 2, 1),
+        family_is_not_certified(family))
+       for family in [(3, 2, 2), (3, 2, 3), (5, 0, 1)]},
+    **{f"complement_indices_miss_the_off_support_kets[{broken}]": Mutant(
+        bases, "complement_indices", complement_indices_miss_the_off_support_kets(broken),
+        BASIS_FAILS, BASIS)
+       for broken in ("drops_last_ket", "repeats_first_ket")},
+    "branch_probabilities_that_follow_arg_alpha_0": Mutant(
+        checks, "_pair_branches", branch_probabilities_that_follow_arg_alpha_0,
+        frozenset({"global_phase_invariance"})),
+    "branches_scaled_by_1_plus_1e_9": Mutant(
+        checks, "_pair_branches", branches_scaled_by_1_plus_1e_9,
+        frozenset({"probability_completeness", "outcome_uniformity"})),
+    "unconjugated_branch_rephase": Mutant(
+        protocols, "_pair_tables", unconjugated_rephase, frozenset({"perfect_teleportation"})),
+    "hybrid_columns_lose_their_shift": Mutant(
+        protocols, "_ladder_pairs", hybrid_columns_lose_their_shift,
+        frozenset({"selection_rule"}), LADDER, (3, 3, 3)),
+    "equivalence_sides_are_the_ladder_masks": Mutant(
+        protocols, "_ladder_pairs", ghz_column_repeats_pair_0, frozenset({"barred_equivalence"}),
+        LADDER, (3, 2, 2), one_cat_check_sees_the_repeated_pair),
+}
 
 
-def test_equivalence_sides_are_the_ladder_masks(monkeypatch, fresh_ladder):
-    # A GHZ column that repeats pair 0 where pair 1 was leaves pair 1 live on
-    # the single-particle side only. Both the one-cat check and the stacked
-    # suite read that mask from the ladder positions, and nothing else fails.
-    ladder_pairs = protocols._ladder_pairs
+def mutant_test(keys):
+    """A TestMutations method that checks the mutants of ``keys``, one per
+    parameter id when there is more than one."""
+    if len(keys) == 1:
+        def test(self, monkeypatch):
+            check_mutant(monkeypatch, MUTANTS[keys[0]])
 
-    def repeated(rung):
-        pairs = ladder_pairs(rung)
-        if rung.ghz:
-            pairs = pairs.copy()
-            pairs[1] = pairs[0]
-            pairs.setflags(write=False)
-        return pairs
+        return test
 
-    monkeypatch.setattr(protocols, "_ladder_pairs", repeated)
-    report = protocols.barred_equivalence_check(random_cat_state(3, 2, 0), 3, 2)
-    assert report.max_state_delta == 1.0
-    assert failures(3, 2, 2) == {"barred_equivalence"}
+    @pytest.mark.parametrize("key", keys, ids=[key[key.index("[") + 1 : -1] for key in keys])
+    def test(self, monkeypatch, key):
+        check_mutant(monkeypatch, MUTANTS[key])
+
+    return test
+
+
+class TestMutations:
+    """Each mutant of MUTANTS fails exactly its suites, cold and warm."""
+
+    def test_unbroken_code_passes(self):
+        assert failures(3, 2, 3) == set()
+
+
+for _name in dict.fromkeys(key.partition("[")[0] for key in MUTANTS):
+    setattr(TestMutations, f"test_{_name}",
+            mutant_test([key for key in MUTANTS if key.partition("[")[0] == _name]))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_one_pair_encoding_for_the_engine_and_the_checks(monkeypatch, warm):
+    mutant = Mutant(
+        *CONSTRUCTOR, swapped_shift_and_phase, frozenset({"perfect_teleportation"}), CORRECTIONS,
+        also=engine_records_apply_their_own_correction)
+    check_mutant(monkeypatch, mutant, (warm,))
+
+
+@pytest.mark.parametrize("key", [
+    "correction_phase_off_by_one",
+    "corrupted_correction_fails_unitarity[repeated_target_on_every_register]",
+], ids=["phase_off_by_one-perfect_teleportation", "repeated_target-correction_unitarity"])
+def test_warm_plan_does_not_hide_a_mutated_constructor(monkeypatch, key):
+    # The constructor's own tables are dropped and every other one is kept.
+    check_mutant(monkeypatch, MUTANTS[key], (True,))
 
 
 def live_row_signaling(d, m):
@@ -345,8 +454,7 @@ def test_warm_plan_certifies_no_correction_again(monkeypatch, d, m):
 def test_cold_plan_keeps_no_correction():
     # The d**2 = 256 corrections of 4096 entries take 32 MB when stored.
     checks._basis_error(16, 3)
-    checks._check_plan.cache_clear()
-    protocols._register_images.cache_clear()
+    protocols._check_plan.cache_clear()
     protocols._register_corrections.cache_clear()
     tracemalloc.start()
     try:
@@ -366,9 +474,11 @@ def test_cold_basis_certificate_builds_no_label_or_dense_family(
     def forbidden(*args, **kwargs):
         raise AssertionError("the basis certificate built a label or a dense state")
 
-    for name in ("ComplementLabel", "Rung", "build_basis", "verify_orthonormal_complete",
-                 "pi_basis_state", "barred_bell_basis_state", "block_ghz_basis_state"):
+    for name in ("ComplementLabel", "Rung"):
         monkeypatch.setattr(bases, name, forbidden)
+    for name in ("label_basis", "build_basis", "verify_orthonormal_complete",
+                 "pi_basis_state", "barred_bell_basis_state", "block_ghz_basis_state"):
+        monkeypatch.setattr(dense, name, forbidden)
     assert checks._basis_error(d, m) < 1e-12
     assert not {"BasisFamily", "BellLabel", "ComplementLabel"} & set(vars(checks))
 
@@ -573,8 +683,7 @@ def test_no_seeds_rejected_before_anything_is_built(seeds):
 
 def test_memory_at_d2_m10():
     checks._basis_error.cache_clear()
-    checks._check_plan.cache_clear()
-    protocols._register_images.cache_clear()
+    protocols._check_plan.cache_clear()
     protocols._register_corrections.cache_clear()
     tracemalloc.start()
     try:
@@ -692,7 +801,7 @@ def test_blocks_change_nothing(monkeypatch, d, m, block_cats):
     monkeypatch.setattr(checks, "random_cat_coeffs", recorded)
     assert run_all_checks(d, m, 7) == expected
     # Every seed once, in order, with one draw per block.
-    per_block = max(1, block_cats // len(checks._check_plan(d, m).lives))
+    per_block = max(1, block_cats // len(protocols._check_plan(d, m).lives))
     assert drawn == [list(range(start, min(start + per_block, 7)))
                      for start in range(0, 7, per_block)]
 

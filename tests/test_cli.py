@@ -282,7 +282,9 @@ class TestExitCodes:
         def no_basis(*args, **kwargs):
             raise AssertionError("verify built a basis before checking the size cap")
 
-        monkeypatch.setattr(bases, "build_basis", no_basis)
+        # What verify builds right after its cap check.
+        for name in ("_basis_error", "_check_plan"):
+            monkeypatch.setattr(checks, name, no_basis)
         code, out, err = run_cli(
             capsys,
             ["verify", "--d", "12", "--m", "2", "--seeds", "1", "--max-dim", "1000"],

@@ -22,7 +22,7 @@ from catport import (
     random_cat_state,
     run_protocol,
 )
-from catport import protocols
+from catport import dense, protocols
 from catport.checks import protocol_specs
 from catport.protocols import PROB_FLOOR
 
@@ -152,7 +152,7 @@ def test_enumeration_and_sampling_never_touch_dense_registers(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense path called")
 
-    monkeypatch.setattr(protocols, "compose_joint_state", forbidden)
+    monkeypatch.setattr(dense, "compose_joint_state", forbidden)
     monkeypatch.setattr(protocols, "measurement_family", forbidden)
     monkeypatch.setattr(protocols, "_family_cached", forbidden)
     for spec in protocol_specs(3, 3):
