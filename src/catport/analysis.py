@@ -20,7 +20,7 @@ from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
     ProtocolSpec,
-    _ladder_positions,
+    Register,
     _pair_branches,
     check_size,
     protocol_specs,
@@ -71,9 +71,10 @@ def _observed_counts(d: int, m: int, seed: int) -> list[int]:
     live rows' probabilities exceed PROB_FLOOR on the random cat state of
     ``seed``: one branch pass stacked over the ladder positions, and each
     stored live-pair column counted once."""
-    positions, slots = _ladder_positions(d, m)
+    register = Register.of(d, m)
+    positions, slots = register.positions()
     lives = [position.live for position in positions]
-    branched = _pair_branches(random_cat_coeffs(d, [seed])[0], lives)
+    branched = _pair_branches(register, random_cat_coeffs(d, [seed])[0], lives)
     counts = [
         [int(np.count_nonzero(probabilities[column] > PROB_FLOOR)) for column in position.columns]
         for position, probabilities in zip(positions, branched[1])

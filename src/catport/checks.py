@@ -26,27 +26,29 @@ sums add live rows in row order with ``np.cumsum``, one rounding each on
 every Python; the builtin ``sum`` compensates from 3.12 on, and ``np.sum``
 adds pairwise.
 
-What depends on (d, m) alone is built once per (d, m): the basis
-certificate in :func:`_basis_error`, and everything else in one
+What depends on (d, m) alone is built once per (d, m) in a process, while
+the store keeps the (d, m) :class:`protocols.Register`: the basis
+certificate of :func:`_basis_error`, which this module fills into the
+register's ``"certificate"`` entry, and everything else in its check plan,
 :func:`protocols._check_plan`. The plan certifies the register's d**2
 corrections one at a time, reads their sector images into fold tables and
 keeps the ladder positions, whose masks give the equivalence's collective
-side. The single-particle side is the plan at m = 1. A call does only its
-cat blocks.
+side. The single-particle side is the plan of the (d, 1) register. A warm
+call does only its cat blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import bases
 from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_coeffs
 from .protocols import (
-    _check_plan,
+    Register,
+    _dimensions,
     _equivalence_deltas,
     _fold_corrections,
     _pair_branches,
@@ -109,12 +111,11 @@ def _sector_family_error(d: int, block: int, width: int) -> float:
 _KRON_ROUNDING = 2 * math.sqrt(2) * (2 * 2.0**-53 / (1 - 2 * 2.0**-53))
 
 
-@lru_cache(maxsize=128)
 def _basis_error(d: int, m: int) -> float:
     """Worst Gram or completeness error of the measured families at (d, m):
     Bell, Fourier, GHZ, the Bell protocol's joint family, barred(m) and, for
-    m >= 2, block GHZ(m). They depend on nothing else, so a process
-    certifies each (d, m) once.
+    m >= 2, block GHZ(m). They depend on nothing else, so the (d, m)
+    register keeps it.
 
     :func:`_sector_family_error` certifies each family, the d x d Fourier
     slot too: its d states form one group on one qudit. The Bell protocol's
@@ -152,10 +153,12 @@ def run_all_checks(
 ) -> list[CheckResult]:
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
+    d, m = _dimensions(d, m)
     # Before anything is built: listing the m + 4 specs of a huge register is slow.
     check_size(d, m, max_dim)
-    basis_err = _basis_error(d, m)
-    plan = _check_plan(d, m)
+    register = Register.of(d, m)
+    basis_err = register.entry("certificate", _basis_error, d, m)
+    plan, single = register.plan(), Register.of(d, 1).plan()
 
     def worst(errors):  # over positions x cats x ``plan.fold.pairs``, at each position's own pairs
         return float(np.where(plan.own_pairs, errors, 0.0).max())
@@ -175,7 +178,7 @@ def run_all_checks(
         # The first block also carries the first cat with a global phase, last.
         stack = np.concatenate([block, block[:1] * np.exp(0.73j)]) if start == 0 else block
         # At each position the first d**k rows can occur, each with probability 1/d**k.
-        branched = _pair_branches(stack, plan.lives)
+        branched = _pair_branches(register, stack, plan.lives)
         folded, leaked, fidelities = _fold_corrections(stack, branched, plan.fold)
         probabilities = branched[1][..., plan.fold.pairs]
         if start == 0:
@@ -207,7 +210,7 @@ def run_all_checks(
 
         shared = (branched[0][plan.collective, :cats], branched[1][plan.collective, :cats])
         many = (folded[plan.collective, :cats], leaked[plan.collective, :cats])
-        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, plan, *many)
+        prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, plan, single, *many)
         equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
         # Free the block's branches and fold, with the equivalence's views of
         # them, before the next block builds its own.

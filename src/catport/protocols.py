@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -59,6 +61,23 @@ from .core import (
 PROB_FLOOR = 1e-12
 ROW_WINDOW = 4096  # outcome rows labelled at a time
 COLUMN_WINDOW = 1 << 16  # live-pair column rows computed at a time
+# What the register store keeps: all of ``verify --d 96 --m 2``'s tables (the
+# (96, 2) plan 44 MB, the (96, 1) plan 37 MB, the pair tables 21 MB), so a
+# warm call there rebuilds nothing.
+KEEP_BYTES = 1 << 28
+REGISTER_BYTES = 1 << 14  # counted for each register's Python objects
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _dimensions(d, m) -> tuple[int, int]:
+    """(d, m) as ints, checked as :class:`ProtocolSpec` checks them."""
+    return _integer("d", d), _integer("m", m)
 
 
 class ProtocolKind(Enum):
@@ -89,9 +108,7 @@ class ProtocolSpec:
         if self.hybrid_k is not None:
             integers["hybrid_k"] = self.hybrid_k
         for name, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, value))
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.m < 1:
@@ -124,20 +141,156 @@ def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
     """Every protocol valid at (d, m) in ladder order: Bell, GHZ (m >= 2),
     barred, then the hybrids k = 2..m+1. Each call returns a new list of the
     same frozen specs."""
-    return list(_protocol_specs(d, m))
+    return list(Register.of(d, m).specs())
 
 
-# Typed, so a numpy-integer call keeps its specs' numpy fields to itself.
-@lru_cache(maxsize=128, typed=True)
-def _protocol_specs(d: int, m: int) -> tuple[ProtocolSpec, ...]:
-    specs = [ProtocolSpec(ProtocolKind.BELL, d, m)]
-    if m >= 2:
-        specs.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
-    specs.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
-    specs.extend(
-        ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2)
-    )
-    return tuple(specs)
+class Register:
+    """Everything the engine keeps at one (d, m) between calls, each entry
+    built on first use from this register alone: the protocol specs, the
+    live-pair column of each ladder position (k, ghz), the ladder positions,
+    the pair tables, the correction of each pair, the check plan and the
+    basis certificate, which :mod:`catport.checks` fills.
+
+    The class keeps the one store of registers, least recently used first.
+    A register counts each array buffer of its entries once, since the
+    positions and the plan share the columns, plus ``REGISTER_BYTES`` for
+    its Python objects. When an entry takes the store past ``KEEP_BYTES``,
+    the least recently used registers are dropped until it is back under,
+    the asking one last. A call looks its register up once and reads
+    through it even once it is dropped, so within a call each pair has one
+    correction and nothing is built twice; across calls, they get the same
+    objects while the register is kept. The lock guards the store and the
+    byte counts: builds run outside it, and the first entry kept wins.
+    """
+
+    _kept: "OrderedDict[tuple[int, int], Register]" = OrderedDict()
+    _kept_bytes = 0
+    _lock = threading.Lock()
+
+    def __init__(self, d: int, m: int):
+        self.d, self.m = d, m
+        self.entries = {}
+        self.nbytes = REGISTER_BYTES
+        self._counted = set()  # the ids of the buffers in nbytes
+
+    @classmethod
+    def of(cls, d: int, m: int) -> "Register":
+        """The register of (d, m), checked as :class:`ProtocolSpec` checks
+        them; a new one is kept on first use."""
+        if type(d) is not int or type(m) is not int:
+            d, m = _dimensions(d, m)
+        key = d, m
+        cls._lock.acquire()  # not ``with``: a lookup is on every call's path
+        try:
+            register = cls._kept.get(key)
+            if register is not None:
+                cls._kept.move_to_end(key)
+                return register
+            register = cls._kept[key] = cls(d, m)
+            cls._kept_bytes += register.nbytes
+            cls._trim()
+            return register
+        finally:
+            cls._lock.release()
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        """Drop every register, and the corrections :func:`correction_for`
+        kept from them; a call under way keeps reading its own."""
+        with cls._lock:
+            cls._kept.clear()
+            cls._kept_bytes = 0
+        correction_for.cache_clear()
+
+    @classmethod
+    def _trim(cls) -> None:
+        while cls._kept_bytes > KEEP_BYTES and cls._kept:
+            cls._kept_bytes -= cls._kept.popitem(last=False)[1].nbytes
+
+    def entry(self, key, build, *args):
+        """The entry ``key``, kept from ``build(*args)`` on first use."""
+        value = self.entries.get(key)
+        if value is None:
+            value = self._keep(key, build(*args))
+        return value
+
+    def _keep(self, key, value):
+        kept = self.entries.setdefault(key, value)
+        if kept is value:
+            with Register._lock:
+                fresh = {id(b): b.nbytes for b in _buffers(value) if id(b) not in self._counted}
+                self._counted.update(fresh)
+                self.nbytes += sum(fresh.values())
+                if Register._kept.get((self.d, self.m)) is self:
+                    Register._kept_bytes += sum(fresh.values())
+                    Register._trim()
+        return kept
+
+    def specs(self) -> tuple[ProtocolSpec, ...]:
+        specs = self.entries.get("specs")
+        if specs is None:
+            d, m = self.d, self.m
+            built = [ProtocolSpec(ProtocolKind.BELL, d, m)]
+            if m >= 2:
+                built.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
+            built.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
+            built.extend(
+                ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2)
+            )
+            specs = self._keep("specs", tuple(built))
+        return specs
+
+    def column(self, rung: Rung) -> np.ndarray:
+        """Each pair ``shift * d + phase`` of the d**k outcome rows of
+        ``rung`` that can occur, the first ones whatever the cat state.
+        Indexing the pairs' probabilities with it gives the outcome
+        probability column; every later row is zero by structure. Rungs that
+        differ only in their label form, joint or bare, share it."""
+        key = ("column", rung.k, rung.ghz)
+        column = self.entries.get(key)
+        if column is None:
+            # A window at a time, so the arithmetic's temporaries stay window-sized.
+            built = np.empty(rung.live, dtype=np.int64)
+            for start in range(0, rung.live, COLUMN_WINDOW):
+                stop = min(start + COLUMN_WINDOW, rung.live)
+                built[start:stop] = rung.pairs(start, stop)
+            built.setflags(write=False)
+            column = self._keep(key, built)
+        return column
+
+    def positions(self):
+        return self.entry("positions", _ladder_positions, self)
+
+    def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        tables = self.entries.get("pair_tables")
+        if tables is None:
+            tables = self._keep("pair_tables", _pair_tables(self.d))
+        return tables
+
+    def correction(self, pair: int) -> MonomialOperator:
+        """The one correction for ``pair = shift * d + phase``."""
+        key = ("correction", pair)
+        correction = self.entries.get(key)
+        if correction is None:
+            correction = self._keep(key, _build_correction(self.d, self.m, pair))
+        return correction
+
+    def plan(self) -> "_CheckPlan":
+        return self.entry("plan", _check_plan, self)
+
+
+def _buffers(value):
+    """The array buffers ``value`` holds: its arrays' bases, through tuples,
+    lists and corrections."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        yield value
+    elif isinstance(value, MonomialOperator):
+        yield from _buffers((value.perm, value.phase_exp, value.factors))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _buffers(item)
 
 
 class MonomialOperator:
@@ -312,26 +465,6 @@ def measurement_family(spec: ProtocolSpec):
     return _family_cached(spec.rung)
 
 
-def _live_pairs(spec: ProtocolSpec) -> np.ndarray:
-    """Each pair ``shift * d + phase`` of the d**k outcome rows that can occur,
-    the first ones whatever the cat state, as the spec's rung lays them out.
-    Indexing the pairs' probabilities with it gives the outcome probability
-    column; every later row is zero by structure. Specs with one rung share
-    it."""
-    return _ladder_pairs(spec.rung)
-
-
-@lru_cache(maxsize=128)
-def _ladder_pairs(rung: Rung) -> np.ndarray:
-    # A window at a time, so the arithmetic's temporaries stay window-sized.
-    pairs = np.empty(rung.live, dtype=np.int64)
-    for start in range(0, rung.live, COLUMN_WINDOW):
-        stop = min(start + COLUMN_WINDOW, rung.live)
-        pairs[start:stop] = rung.pairs(start, stop)
-    pairs.setflags(write=False)
-    return pairs
-
-
 class LadderPosition(NamedTuple):
     """Specs with the same d**k live rows over the same pairs, which share
     branches, probabilities and fold: the count ``live = d**k``, the mask
@@ -342,16 +475,15 @@ class LadderPosition(NamedTuple):
     columns: tuple[np.ndarray, ...]
 
 
-@lru_cache(maxsize=32)
-def _ladder_positions(d: int, m: int):
-    """The ladder positions of ``protocol_specs(d, m)`` in first-use order,
-    and each spec's (position, column) index among them. Only the row order
-    of a spec's completeness sum is its own. Specs whose rungs differ at most
-    in their label form, joint or bare, have equal columns and share one, as
+def _ladder_positions(register: Register):
+    """The ladder positions of the register's specs in first-use order, and
+    each spec's (position, column) index among them. Only the row order of a
+    spec's completeness sum is its own. Specs whose rungs differ at most in
+    their label form, joint or bare, have equal columns and share one, as
     equal columns give equal sums."""
-    positions, slots = {}, []
-    for spec in protocol_specs(d, m):
-        live_pairs = _live_pairs(spec)
+    d, positions, slots = register.d, {}, []
+    for spec in register.specs():
+        live_pairs = register.column(spec.rung)
         used = np.bincount(live_pairs, minlength=d * d) > 0
         used.setflags(write=False)
         index, _, columns = positions.setdefault(
@@ -367,7 +499,7 @@ def _ladder_positions(d: int, m: int):
 
 
 def _live_label(spec: ProtocolSpec, row: int) -> BasisLabel:
-    """The label of ``row``, laid out as :func:`_live_pairs` reads the rows."""
+    """The label of ``row``, laid out as :meth:`Register.column` reads the rows."""
     return spec.rung.label(row)
 
 
@@ -394,26 +526,13 @@ def correction_for(spec: ProtocolSpec, label: BasisLabel) -> MonomialOperator:
     Raises ValueError if ``label`` is not in the protocol's measurement
     family. Complement outcomes never occur, so they get the identity (zero
     shift and phase); any unitary would do there. Outcomes with the same
-    (shift, phase) pair share one immutable operator, so a register has at
-    most d**2 distinct corrections.
+    (shift, phase) pair share one immutable operator, the (d, m)
+    :class:`Register`'s, so a register has at most d**2 distinct
+    corrections. This function's own cache is the one exception to the
+    store's budget: it keeps the operators it returned alive after their
+    register is dropped, and returns them again.
     """
-    return _pair_correction(spec, _label_pair(spec, label))
-
-
-@lru_cache(maxsize=32)
-def _register_corrections(d: int, num_qudits: int) -> dict[int, MonomialOperator]:
-    """The corrections built so far for one register, by pair: at most d**2,
-    kept and dropped together."""
-    return {}
-
-
-def _pair_correction(spec: ProtocolSpec, pair: int) -> MonomialOperator:
-    """The register's one shared correction for ``pair = shift * d + phase``."""
-    corrections = _register_corrections(spec.d, spec.m)
-    correction = corrections.get(pair)
-    if correction is None:
-        correction = corrections.setdefault(pair, _build_correction(spec.d, spec.m, pair))
-    return correction
+    return Register.of(spec.d, spec.m).correction(_label_pair(spec, label))
 
 
 def _build_correction(d: int, num_qudits: int, pair: int) -> MonomialOperator:
@@ -443,7 +562,8 @@ def _register_images(d: int, num_qudits: int):
     correction sends |i..i> to, or -1 off the sector, and the factor.
 
     Each correction is built, read and dropped in turn, so one at a time is
-    held and none is stored. :func:`_check_plan` keeps what it returns."""
+    held and none is kept, not even in the register's corrections: the check
+    plan of :func:`_check_plan` keeps what this returns."""
     sector = cat_sector_indices(d, num_qudits)
     slots = np.empty((d * d, d), dtype=np.int64)
     factors = np.empty((d * d, d), dtype=np.complex128)
@@ -465,7 +585,6 @@ def apply_correction(record: OutcomeRecord) -> PureState:
     return record.correction.apply(record.bob_pre_correction)
 
 
-@lru_cache(maxsize=64)
 def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Index and phase tables with one row per pair p = shift * d + phase:
     branch p reads alpha at ``source[p, i] = i - shift`` times
@@ -479,17 +598,18 @@ def _pair_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     return source, rephase
 
 
-def _pair_branches(coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
+def _pair_branches(register: Register, coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
     """Bob's unnormalized branch on the sector |i..i> for each pair p, and its
     probability, for a cat's coefficients ``coeffs`` or a stack of them on
-    leading axes. Every nonzero outcome with pair p leaves this branch.
+    leading axes, from the register's pair tables. Every nonzero outcome
+    with pair p leaves this branch.
 
     Row p is b[i] = alpha_l * omega**(-l * phase) / sqrt(d**k) with
     l = i - shift mod d, where ``live = d**k`` is the number of nonzero outcomes;
     a list of counts puts each count's rows on a new leading axis. Each row is
     rounded alike whatever the stack or the other counts around it.
     """
-    source, rephase = _pair_tables(coeffs.shape[-1])
+    source, rephase = register.pair_tables()
     if isinstance(live, list):
         scale = np.reshape([math.sqrt(count) for count in live], (-1,) + (1,) * (coeffs.ndim + 1))
     else:
@@ -498,17 +618,17 @@ def _pair_branches(coeffs: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
     return branches, np.einsum("...ij,...ij->...i", branches.conj(), branches).real
 
 
-def _finish_pairs(cat: CatState, spec: ProtocolSpec, pairs: np.ndarray, branched, bob_shape):
+def _finish_pairs(register: Register, cat: CatState, pairs: np.ndarray, branched, bob_shape):
     """(probability, pre state, correction, post state, fidelity) of each pair
     in ``pairs``, from ``branched = _pair_branches(...)``. The post state is
     the pair's correction applied to the pre state, so a wrong correction
     shows as a fidelity below 1."""
     branches, probabilities = branched
     pre_rows = branches[pairs] / np.sqrt(probabilities[pairs])[:, None]
-    corrections = [_pair_correction(spec, pair) for pair in pairs.tolist()]
+    corrections = [register.correction(pair) for pair in pairs.tolist()]
     pres = [sector_state(bob_shape, row) for row in pre_rows]
     posts = [correction.apply(pre) for correction, pre in zip(corrections, pres)]
-    sector = cat_sector_indices(spec.d, spec.m)
+    sector = cat_sector_indices(register.d, register.m)
     # einsum rounds each row alike whatever the batch size; BLAS matmul does
     # not, and run_protocol must give enumerate_outcomes' record bit for bit.
     on_sector = np.array([post.amps[sector] for post in posts])
@@ -528,11 +648,12 @@ def enumerate_outcomes(
     ``max_dim`` caps the joint register d**(2m+1), which is never allocated.
     """
     _check_inputs(cat, spec, max_dim)
-    rung, pairs = spec.rung, _live_pairs(spec)
-    used = np.flatnonzero(np.bincount(pairs))
+    register = Register.of(spec.d, spec.m)
+    rung = spec.rung
+    used = np.flatnonzero(np.bincount(register.column(rung)))
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    branched = _pair_branches(cat.coeffs, rung.live)
-    finished = dict(zip(used.tolist(), _finish_pairs(cat, spec, used, branched, bob_shape)))
+    branched = _pair_branches(register, cat.coeffs, rung.live)
+    finished = dict(zip(used.tolist(), _finish_pairs(register, cat, used, branched, bob_shape)))
     zero = PureState(bob_shape, np.zeros(bob_shape.total), normalized=False)
     records, live = [], rung.live
     for start in range(0, rung.rows, ROW_WINDOW):
@@ -540,7 +661,7 @@ def enumerate_outcomes(
         window = zip(range(start, stop), rung.labels(start, stop), rung.pairs(start, stop).tolist())
         for row, label, pair in window:
             fields = finished[pair] if row < live else (
-                0.0, zero, _pair_correction(spec, pair), zero, 0.0)
+                0.0, zero, register.correction(pair), zero, 0.0)
             records.append(OutcomeRecord(label, *fields))
     return records
 
@@ -555,15 +676,16 @@ def run_protocol(
     nonzero outcome is taken. Only the sampled pair's states are built.
     """
     _check_inputs(cat, spec, max_dim)
-    pairs = _live_pairs(spec)
-    branched = _pair_branches(cat.coeffs, pairs.size)
+    register = Register.of(spec.d, spec.m)
+    pairs = register.column(spec.rung)
+    branched = _pair_branches(register, cat.coeffs, pairs.size)
     u = float(np.random.default_rng(seed).random())
     # cumsum adds in label order, like a running float sum; the zero rows
     # after the live ones would add exactly nothing, so the pick is the same.
     cdf = np.cumsum(branched[1][pairs])
     position = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
-    finished = _finish_pairs(cat, spec, pairs[position : position + 1], branched, bob_shape)[0]
+    finished = _finish_pairs(register, cat, pairs[position : position + 1], branched, bob_shape)[0]
     return OutcomeRecord(_live_label(spec, position), *finished)
 
 
@@ -633,17 +755,16 @@ class _CheckPlan(NamedTuple):
     many_rows: np.ndarray
 
 
-@lru_cache(maxsize=32)
-def _check_plan(d: int, m: int) -> _CheckPlan:
+def _check_plan(register: Register) -> _CheckPlan:
     """The checks' work that depends on (d, m) alone: the corrections'
     certificate, from :func:`_register_images`, which keeps no correction,
-    the fold tables of the used pairs, and the ladder positions with their
-    masks and shares. The collective side of the equivalence is the first
-    position with d**2 live rows, GHZ(m) or barred at m = 1, and its rows in
-    the fold are ``many_rows``. At m = 1 every spec shares one position, so
-    the plan at m = 1 is the single-particle side. A process builds each
-    plan once."""
-    positions = _ladder_positions(d, m)[0]
+    the fold tables of the used pairs, and the register's ladder positions
+    with their masks and shares. The collective side of the equivalence is
+    the first position with d**2 live rows, GHZ(m) or barred at m = 1, and
+    its rows in the fold are ``many_rows``. At m = 1 every spec shares one
+    position, so the plan at m = 1 is the single-particle side."""
+    d, m = register.d, register.m
+    positions = register.positions()[0]
     masks = np.array([position.used for position in positions])
     # Outcomes with the same (shift, phase) pair share one correction.
     pairs = np.flatnonzero(masks.any(axis=0))
@@ -665,15 +786,14 @@ def _check_plan(d: int, m: int) -> _CheckPlan:
                       masks, own_pairs, missing_shifts, collective, many_rows)
 
 
-def _equivalence_deltas(coeffs, branched, plan: _CheckPlan, folded, leaked):
+def _equivalence_deltas(coeffs, branched, plan: _CheckPlan, single: _CheckPlan, folded, leaked):
     """The largest probability delta and the largest state delta of
     :func:`barred_equivalence_check`, one entry per cat of the stack
     ``coeffs`` (one row of d coefficients each), from both sides' shared
-    ``branched = _pair_branches(coeffs, d**2)`` and the collective position's
-    ``folded, leaked = _fold_corrections(coeffs, branched, plan.fold)[:2]``.
-    The single side is the plan at m = 1, folded here. Each cat gets the
-    bits it gets alone."""
-    single = _check_plan(coeffs.shape[-1], 1)
+    ``branched = _pair_branches(register, coeffs, d**2)`` and the collective
+    position's ``folded, leaked = _fold_corrections(coeffs, branched,
+    plan.fold)[:2]``. The single side is ``single``, the plan at m = 1,
+    folded here. Each cat gets the bits it gets alone."""
     many_used, single_used = plan.masks[plan.collective], single.masks[0]
     many_p, single_p = (np.where(used, branched[1], 0.0) for used in (many_used, single_used))
     prob_deltas = np.abs(many_p - single_p).max(axis=-1)
@@ -700,14 +820,16 @@ def barred_equivalence_check(
     pair live on one side only is a state error of 1. For m=1 both sides
     are the same protocol and the deltas vanish identically.
     """
+    d, m = _dimensions(d, m)
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
     check_size(d, m, max_dim)
-    plan = _check_plan(d, m)
+    register = Register.of(d, m)
+    plan, single = register.plan(), Register.of(d, 1).plan()
     coeffs = cat.coeffs[None]
-    branched = _pair_branches(coeffs, d * d)
+    branched = _pair_branches(register, coeffs, d * d)
     folded, leaked = _fold_corrections(coeffs, branched, plan.fold)[:2]
-    prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, plan, folded, leaked)
+    prob_deltas, state_deltas = _equivalence_deltas(coeffs, branched, plan, single, folded, leaked)
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))
 
 

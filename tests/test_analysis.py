@@ -65,9 +65,9 @@ class TestCostOf:
     def test_cross_check_fails_when_a_live_outcome_has_zero_probability(self, monkeypatch):
         branches = analysis._pair_branches
 
-        def lose_pair_0(coeffs, live):
+        def lose_pair_0(register, coeffs, live):
             # Row 0 of every protocol has pair 0 (no shift, no phase).
-            branched, probabilities = branches(coeffs, live)
+            branched, probabilities = branches(register, coeffs, live)
             probabilities = probabilities.copy()
             probabilities[..., 0] = 0.0
             return branched, probabilities

@@ -17,6 +17,7 @@ from catport.checks import run_all_checks
 from catport.core import (
     CatState,
     PureState,
+    ShapeMismatchError,
     SizeCapError,
     cat_sector_indices,
     partial_trace_keep,
@@ -27,7 +28,7 @@ from catport.protocols import (
     MonomialOperator,
     ProtocolKind,
     ProtocolSpec,
-    _pair_correction,
+    Register,
     compose_joint_state,
     enumerate_outcomes,
     ladder_k,
@@ -48,27 +49,39 @@ def failures(d, m, seeds):
     return {r.name for r in results if not r.passed}
 
 
-# The tables each owner feeds: a warm mutant run clears these, and only these,
-# so a table kept anywhere else would hide the mutant.
-CORRECTIONS = (protocols._register_corrections, protocols._check_plan)
-BASIS = (checks._basis_error,)
-LADDER = (protocols._ladder_pairs, protocols._ladder_positions, protocols._check_plan)
-EVERY_TABLE = tuple(
-    value for module in (core, bases, protocols, checks) for value in vars(module).values()
-    if callable(getattr(value, "cache_clear", None))
-)
+# The register entries each owner feeds: a warm mutant run drops these, and
+# only these, so an entry kept anywhere else would hide the mutant.
+CORRECTIONS = ("correction", "plan")
+BASIS = ("certificate",)
+LADDER = ("column", "positions", "plan")
+PAIR_TABLES = ("pair_tables",)
 
 
-def clear(tables):
-    for table in tables:
-        table.cache_clear()
+def clear_everything():
+    for module in (core, bases, protocols, checks):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def drop(names):
+    """Drop the entries ``names`` from every kept register: ``"plan"``, or
+    ``"correction"`` for the entries keyed ``("correction", pair)``."""
+    for register in list(Register._kept.values()):
+        for key in list(register.entries):
+            if (key[0] if isinstance(key, tuple) else key) in names:
+                del register.entries[key]
+
+
+def pair_correction(spec, pair):
+    return Register.of(spec.d, spec.m).correction(pair)
 
 
 @pytest.fixture()
 def fresh_basis_certificate():
-    clear(BASIS)
+    drop(BASIS)
     yield
-    clear(BASIS)
+    drop(BASIS)
 
 
 @pytest.fixture()
@@ -76,16 +89,16 @@ def fresh_ladder():
     """Drop the live-pair columns, the ladder positions and the check plans
     built from them before and after, so a patched column reaches both
     equivalence sides and leaves nothing behind for other tests."""
-    clear(LADDER)
+    drop(LADDER)
     yield
-    clear(LADDER)
+    drop(LADDER)
 
 
 class Mutant(NamedTuple):
     """``owner.attribute`` broken by ``mutate``, which takes the unbroken
     value, and the exact set of suites it fails at ``point = (d, m, seeds)``.
-    ``caches`` are the tables built from the owner, and ``also``, if given,
-    makes more assertions under the mutant."""
+    ``caches`` name the register entries built from the owner, and ``also``,
+    if given, makes more assertions under the mutant."""
 
     owner: object
     attribute: str
@@ -98,15 +111,15 @@ class Mutant(NamedTuple):
 
 def check_mutant(monkeypatch, mutant, modes=(False, True)):
     """Apply ``mutant`` to a process with no table built, then to one whose
-    tables were built unbroken and only the mutant's ``caches`` dropped: it
-    must fail exactly its suites both times, or in each warm value of
+    registers were built unbroken and only the mutant's ``caches`` dropped:
+    it must fail exactly its suites both times, or in each warm value of
     ``modes``. Nothing built under it is kept."""
     try:
         for warm in modes:
-            clear(EVERY_TABLE)
+            clear_everything()
             if warm:
                 assert failures(*mutant.point) == set()
-                clear(mutant.caches)
+                drop(mutant.caches)
             unbroken = getattr(mutant.owner, mutant.attribute)
             monkeypatch.setattr(mutant.owner, mutant.attribute, mutant.mutate(unbroken))
             if mutant.also is not None:
@@ -115,7 +128,7 @@ def check_mutant(monkeypatch, mutant, modes=(False, True)):
             monkeypatch.undo()
     finally:
         monkeypatch.undo()
-        clear(EVERY_TABLE)
+        clear_everything()
 
 
 def phase_off_by_one(build):
@@ -232,8 +245,8 @@ def branch_probabilities_that_follow_arg_alpha_0(branches):
     # most 6.3e-11, inside the 1e-10 tolerances, and the fold divides the
     # scale out again. The cat with a global phase has its arg(alpha_0)
     # moved by 0.73, so at d**k = 9 its probabilities move by 1.6e-12.
-    def phased(coeffs, live):
-        b, probabilities = branches(coeffs, live)
+    def phased(register, coeffs, live):
+        b, probabilities = branches(register, coeffs, live)
         scale = 1 + 1e-11 * np.angle(coeffs[..., 0])
         return b * scale[..., None, None], probabilities * scale[..., None] ** 2
 
@@ -242,8 +255,8 @@ def branch_probabilities_that_follow_arg_alpha_0(branches):
 
 def branches_scaled_by_1_plus_1e_9(branches):
     # The fold divides the scale out again, so only the probabilities show it.
-    def scaled(coeffs, live):
-        b, probabilities = branches(coeffs, live)
+    def scaled(register, coeffs, live):
+        b, probabilities = branches(register, coeffs, live)
         return b * (1 + 1e-9), probabilities * (1 + 1e-9) ** 2
 
     return scaled
@@ -257,27 +270,41 @@ def unconjugated_rephase(tables):
     return rephased
 
 
-def hybrid_columns_lose_their_shift(ladder_pairs):
-    def lost(rung):  # the hybrids k = 2..m; k = m + 1 is Bell's rung
-        pairs = ladder_pairs(rung)
+def hybrid_columns_lose_their_shift(rung_pairs):
+    # The hybrids k = 3..m; k = m + 1 is Bell's rung, and k = 2 shares the
+    # barred column, which the barred spec builds first.
+    def lost(rung, start, stop):
+        pairs = rung_pairs(rung, start, stop)
         return pairs % rung.d if rung.joint and rung.k <= rung.m else pairs
 
     return lost
 
 
-def ghz_column_repeats_pair_0(ladder_pairs):
+def ghz_column_repeats_pair_0(rung_pairs):
     # A GHZ column that repeats pair 0 where pair 1 was leaves pair 1 live on
     # the single-particle side only. Both the one-cat check and the stacked
     # suite read that mask from the ladder positions, and nothing else fails.
-    def repeated(rung):
-        pairs = ladder_pairs(rung)
-        if rung.ghz:
-            pairs = pairs.copy()
+    def repeated(rung, start, stop):
+        pairs = rung_pairs(rung, start, stop)
+        if rung.ghz and start == 0 and stop > 1:
             pairs[1] = pairs[0]
-            pairs.setflags(write=False)
         return pairs
 
     return repeated
+
+
+def registers_keyed_by_d_alone(of):
+    # A store that finds a register by d alone, here one built at m = 1.
+    return lambda d, m: of(d, 1)
+
+
+def records_at_another_m_misfit():
+    # The suites read every table of (d, m) off one register, so they agree
+    # with themselves at any m. The engine's records apply the register's
+    # corrections to the receiver's m qudits, and those misfit.
+    assert [spec.m for spec in protocol_specs(3, 2)] == [1, 1, 1]
+    with pytest.raises(ShapeMismatchError):
+        enumerate_outcomes(random_cat_state(3, 2, 0), ProtocolSpec(ProtocolKind.BELL, 3, 2))
 
 
 def one_cat_check_sees_the_repeated_pair():
@@ -305,6 +332,7 @@ def engine_records_apply_their_own_correction():
 
 CONSTRUCTOR = (protocols, "cat_sector_correction")
 TERMS = (bases, "sector_terms")
+RUNG_PAIRS = (bases.Rung, "pairs")
 BASIS_FAILS = frozenset({"basis_orthonormality"})
 
 # Every mutant, by the TestMutations test that applies it: ``name`` alone, or
@@ -350,13 +378,16 @@ MUTANTS = {
         checks, "_pair_branches", branches_scaled_by_1_plus_1e_9,
         frozenset({"probability_completeness", "outcome_uniformity"})),
     "unconjugated_branch_rephase": Mutant(
-        protocols, "_pair_tables", unconjugated_rephase, frozenset({"perfect_teleportation"})),
+        protocols, "_pair_tables", unconjugated_rephase, frozenset({"perfect_teleportation"}),
+        PAIR_TABLES),
     "hybrid_columns_lose_their_shift": Mutant(
-        protocols, "_ladder_pairs", hybrid_columns_lose_their_shift,
+        *RUNG_PAIRS, hybrid_columns_lose_their_shift,
         frozenset({"selection_rule"}), LADDER, (3, 3, 3)),
     "equivalence_sides_are_the_ladder_masks": Mutant(
-        protocols, "_ladder_pairs", ghz_column_repeats_pair_0, frozenset({"barred_equivalence"}),
+        *RUNG_PAIRS, ghz_column_repeats_pair_0, frozenset({"barred_equivalence"}),
         LADDER, (3, 2, 2), one_cat_check_sees_the_repeated_pair),
+    "registers_keyed_by_d_alone": Mutant(
+        Register, "of", registers_keyed_by_d_alone, frozenset(), also=records_at_another_m_misfit),
 }
 
 
@@ -407,15 +438,16 @@ def test_warm_plan_does_not_hide_a_mutated_constructor(monkeypatch, key):
 
 def live_row_signaling(d, m):
     """For each spec at (d, m), the largest entry of |sum b b^H - I/d| over the
-    branches b of its live rows, read through ``_live_pairs``, and seeds 0-4:
+    branches b of its live rows, read through ``Register.column``, and seeds 0-4:
     the receiver's state on the sector |i..i> averaged over the outcomes
     that can occur, against the maximally mixed state."""
-    errors = []
+    errors, register = [], Register.of(d, m)
     for spec in protocol_specs(d, m):
         error = 0.0
         for seed in range(5):
             coeffs = random_cat_state(d, m, seed).coeffs
-            rows = protocols._pair_branches(coeffs, spec.rung.live)[0][protocols._live_pairs(spec)]
+            rows = protocols._pair_branches(register, coeffs, spec.rung.live)[0][
+                register.column(spec.rung)]
             error = max(error, float(np.abs(rows.T @ rows.conj() - np.eye(d) / d).max()))
         errors.append(error)
     return errors
@@ -446,16 +478,16 @@ def test_warm_plan_certifies_no_correction_again(monkeypatch, d, m):
 
     counted(protocols, "_build_correction")
     counted(protocols, "_unitarity_error")
-    counted(protocols, "_pair_correction")
+    counted(Register, "correction")
     assert run_all_checks(d, m, 4) == first
     assert calls == []
 
 
 def test_cold_plan_keeps_no_correction():
     # The d**2 = 256 corrections of 4096 entries take 32 MB when stored.
-    checks._basis_error(16, 3)
-    protocols._check_plan.cache_clear()
-    protocols._register_corrections.cache_clear()
+    register = Register.of(16, 3)
+    register.entry("certificate", checks._basis_error, 16, 3)
+    drop(CORRECTIONS)
     tracemalloc.start()
     try:
         results = run_all_checks(16, 3, 1, max_dim=16**7)
@@ -463,7 +495,7 @@ def test_cold_plan_keeps_no_correction():
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results)
-    assert protocols._register_corrections(16, 3) == {}
+    assert not [key for key in register.entries if isinstance(key, tuple) and key[0] == "correction"]
     assert peak < 8 * 2**20, peak
 
 
@@ -545,7 +577,7 @@ def dense_checks(d, m, seeds):
     pairs = set().union(*(row_pairs(spec).tolist() for spec in specs))
     eye = np.eye(d ** m)
     for pair in sorted(pairs):
-        correction = _pair_correction(specs[0], pair)
+        correction = pair_correction(specs[0], pair)
         if not (correction.adjoint() @ correction).is_identity():
             unitarity = 1.0
         mat = correction.matrix()
@@ -600,7 +632,8 @@ def test_matches_dense_checks(d, m, seeds):
 
 
 def one_cat_branches(coeffs, live):
-    """``_pair_branches`` for one cat, as written before cats were stacked."""
+    """``_pair_branches`` for one cat, as written before cats were stacked
+    and the pair tables were kept in the register."""
     source, rephase = protocols._pair_tables(coeffs.size)
     branches = coeffs[source] * rephase / math.sqrt(live)
     return branches, np.einsum("ij,ij->i", branches.conj(), branches).real
@@ -682,9 +715,7 @@ def test_no_seeds_rejected_before_anything_is_built(seeds):
 
 
 def test_memory_at_d2_m10():
-    checks._basis_error.cache_clear()
-    protocols._check_plan.cache_clear()
-    protocols._register_corrections.cache_clear()
+    Register.cache_clear()
     tracemalloc.start()
     try:
         results = run_all_checks(2, 10, 1)
@@ -722,7 +753,7 @@ def per_pair_sector_images(spec, pairs):
     slots = np.zeros((d * d, d), dtype=np.int64)
     factors = np.zeros((d * d, d), dtype=np.complex128)
     for pair in pairs:
-        correction = _pair_correction(spec, int(pair))
+        correction = pair_correction(spec, int(pair))
         targets = correction.perm[sector]
         slots[pair] = np.where(targets % sector[1] == 0, targets // sector[1], -1)
         factors[pair] = correction.factors[sector]
@@ -739,7 +770,7 @@ def per_cat_equivalence(cat, d, m):
         live = d ** ladder_k(spec)
         used = np.bincount(row_pairs(spec)[:live], minlength=d * d) > 0
         pairs = np.flatnonzero(used)
-        branched = protocols._pair_branches(side.coeffs, live)
+        branched = protocols._pair_branches(Register.of(d, 1), side.coeffs, live)
         folded, leaked, _ = protocols._fold_corrections(
             side.coeffs, branched,
             protocols._fold_tables(pairs, per_pair_sector_images(spec, pairs)),
@@ -759,7 +790,7 @@ def test_stacked_certificates_match_the_per_cat_and_per_operator_ones(d, m, seed
     results = {r.name: r.max_error for r in run_all_checks(d, m, seeds)}
     specs = protocol_specs(d, m)
     pairs = np.flatnonzero(sum(np.bincount(row_pairs(spec), minlength=d * d) for spec in specs))
-    unitarity = max(per_operator_unitarity_error(_pair_correction(specs[0], p)) for p in pairs)
+    unitarity = max(per_operator_unitarity_error(pair_correction(specs[0], p)) for p in pairs)
     assert results["correction_unitarity"] == unitarity
     for new, old in zip(protocols._register_images(d, m)[1], per_pair_sector_images(specs[0], pairs)):
         assert np.array_equal(new, old)
@@ -801,7 +832,7 @@ def test_blocks_change_nothing(monkeypatch, d, m, block_cats):
     monkeypatch.setattr(checks, "random_cat_coeffs", recorded)
     assert run_all_checks(d, m, 7) == expected
     # Every seed once, in order, with one draw per block.
-    per_block = max(1, block_cats // len(protocols._check_plan(d, m).lives))
+    per_block = max(1, block_cats // len(Register.of(d, m).plan().lives))
     assert drawn == [list(range(start, min(start + per_block, 7)))
                      for start in range(0, 7, per_block)]
 
@@ -836,14 +867,15 @@ def test_completeness_is_the_same_on_every_python(monkeypatch):
 def test_stacked_ladder_branches_match_the_per_count_calls(d, m):
     stack = np.array([random_cat_state(d, m, seed).coeffs for seed in range(4)])
     lives = [d**k for k in range(2, m + 2)]
-    branches, probabilities = protocols._pair_branches(stack, lives)
+    register = Register.of(d, m)
+    branches, probabilities = protocols._pair_branches(register, stack, lives)
     assert branches.shape == (len(lives), 4, d * d, d)
     for position, live in enumerate(lives):
-        alone = protocols._pair_branches(stack, live)
+        alone = protocols._pair_branches(register, stack, live)
         assert np.array_equal(branches[position], alone[0]), live
         assert np.array_equal(probabilities[position], alone[1]), live
         for cat, coeffs in enumerate(stack):
-            one = protocols._pair_branches(coeffs, live)
+            one = protocols._pair_branches(register, coeffs, live)
             assert np.array_equal(branches[position, cat], one[0]), (live, cat)
             assert np.array_equal(probabilities[position, cat], one[1]), (live, cat)
 

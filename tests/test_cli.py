@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from catport import bases, checks, cli
+from catport import bases, checks, cli, protocols
 from catport.checks import CheckResult
 from catport.cli import main
 
@@ -150,7 +150,7 @@ class TestVerify:
         monkeypatch.setattr(
             bases, "sector_terms", lambda *args: built.append(args) or build(*args)
         )
-        checks._basis_error.cache_clear()
+        protocols.Register.cache_clear()
         first = checks.run_all_checks(2, 2, 1)
         count = len(built)
         assert checks.run_all_checks(2, 2, 2)[0] == first[0]
@@ -283,8 +283,8 @@ class TestExitCodes:
             raise AssertionError("verify built a basis before checking the size cap")
 
         # What verify builds right after its cap check.
-        for name in ("_basis_error", "_check_plan"):
-            monkeypatch.setattr(checks, name, no_basis)
+        monkeypatch.setattr(checks, "_basis_error", no_basis)
+        monkeypatch.setattr(protocols, "_check_plan", no_basis)
         code, out, err = run_cli(
             capsys,
             ["verify", "--d", "12", "--m", "2", "--seeds", "1", "--max-dim", "1000"],

@@ -17,9 +17,11 @@ import sys
 import tracemalloc
 
 import pytest
+from test_sector_oracle import ORACLE_GRID
 
-from catport import cli
+from catport import cli, protocols
 from catport.analysis import cost_of
+from catport.checks import run_all_checks
 from catport.core import DEFAULT_MAX_DIM, random_cat_state
 from catport.protocols import enumerate_outcomes, protocol_specs, run_protocol
 
@@ -111,6 +113,30 @@ CASES = [
 )
 def test_output_matches_plain_renderer(command, spec, fmt):
     _assert_same_text(_stdout(_argv(command, spec, fmt)), _oracle(command, spec, fmt))
+
+
+# Every window constant that cuts work into pieces, shrunk to a few rows.
+SHRUNK_WINDOWS = [(protocols, "COLUMN_WINDOW", 3), (protocols, "ROW_WINDOW", 5),
+                  (cli, "CSV_BATCH_ROWS", 2)]
+
+
+def test_shrunk_windows_change_no_byte(monkeypatch):
+    def outputs():
+        protocols.Register.cache_clear()  # so the columns are built under these windows
+        texts = [_stdout(_argv(command, spec, fmt))
+                 for d, m in ORACLE_GRID for spec in protocol_specs(d, m)
+                 for command in ("run", "enumerate") for fmt in ("json", "csv")]
+        checks = [[r.max_error.hex() for r in run_all_checks(d, m, 3)] for d, m in ORACLE_GRID]
+        return texts, checks
+
+    expected = outputs()
+    for owner, name, rows in SHRUNK_WINDOWS:
+        monkeypatch.setattr(owner, name, rows)
+    texts, checks = outputs()
+    protocols.Register.cache_clear()
+    for got, want in zip(texts, expected[0]):
+        _assert_same_text(got, want)
+    assert checks == expected[1]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

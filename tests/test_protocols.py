@@ -128,7 +128,7 @@ class TestProtocolSpecs:
             second[0].d = 11
 
     def test_numpy_integer_call_keeps_its_types_to_itself(self):
-        protocols._protocol_specs.cache_clear()
+        protocols.Register.cache_clear()
         numpy_specs = protocols.protocol_specs(np.int64(3), np.int64(2))
         assert numpy_specs == all_specs(3, 2)
         specs = protocols.protocol_specs(3, 2)
@@ -701,32 +701,35 @@ class TestRowIndex:
             assert pairs == list(expected), spec
             live = d ** ladder_k(spec)
             assert list(occurs) == [row < live for row in range(len(labels))], spec
-            assert protocols._live_pairs(spec).tolist() == list(expected[:live]), spec
+            register = protocols.Register.of(d, m)
+            assert register.column(spec.rung).tolist() == list(expected[:live]), spec
             live_labels = [protocols._live_label(spec, row) for row in range(live)]
             assert live_labels == labels[:live], spec
             for label, pair in zip(labels, pairs):
-                assert correction_for(spec, label) is protocols._pair_correction(spec, pair)
+                assert correction_for(spec, label) is register.correction(pair)
 
     @pytest.mark.parametrize("d,m", ROW_GRID)
     def test_records_carry_the_label_rule_correction(self, d, m):
         # enumerate_outcomes reads each row's pair off the row index; the
         # label rule, which correction_for applies, must agree on every row.
         cat = random_cat_state(d, m, 4)
+        register = protocols.Register.of(d, m)
         for spec in all_specs(d, m):
             for record in enumerate_outcomes(cat, spec):
                 pair = protocols._label_pair(spec, record.label)
-                expected = protocols._pair_correction(spec, pair)
+                expected = register.correction(pair)
                 assert record.correction is expected, (spec, record.label)
 
     @pytest.mark.parametrize("d,m", ORACLE_GRID)
     def test_live_pair_column_gives_the_recorded_probabilities(self, d, m):
         # The column the cross-check counts and run_protocol samples from,
         # padded with the structural zeros, is enumerate_outcomes' column.
+        register = protocols.Register.of(d, m)
         for seed in range(5):
             cat = random_cat_state(d, m, seed)
             for spec in all_specs(d, m):
-                pairs = protocols._live_pairs(spec)
-                branched = protocols._pair_branches(cat.coeffs, d ** ladder_k(spec))
+                pairs = register.column(spec.rung)
+                branched = protocols._pair_branches(register, cat.coeffs, d ** ladder_k(spec))
                 column = np.zeros(d ** (m + 1))
                 column[: pairs.size] = branched[1][pairs]
                 records = enumerate_outcomes(cat, spec)
@@ -815,6 +818,7 @@ class TestRowIndex:
             monkeypatch.setattr(bases.Rung, name, no_labels)
         assert correction_for(spec, ComplementLabel((0, 1) + (0,) * 14)).is_identity()
         bell = correction_for(spec, BellLabel(1, 1))
-        assert bell is protocols._pair_correction(spec, reference_pair(2, BellLabel(1, 1))[0])
+        pair = reference_pair(2, BellLabel(1, 1))[0]
+        assert bell is protocols.Register.of(2, 15).correction(pair)
         with pytest.raises(ValueError):
             correction_for(spec, ComplementLabel((1,) * 15 + (0,)))  # a sector ket
