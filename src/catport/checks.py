@@ -45,10 +45,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bases
-from .core import DEFAULT_MAX_DIM, lists_each_index_once, random_cat_coeffs
+from .core import DEFAULT_MAX_DIM, _integer, lists_each_index_once, random_cat_coeffs
 from .protocols import (
     Register,
-    _dimensions,
     _equivalence_deltas,
     _fold_corrections,
     _pair_branches,
@@ -151,11 +150,10 @@ CHECK_BLOCK_ENTRIES = 1 << 18
 def run_all_checks(
     d: int, m: int, seeds: int, *, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[CheckResult]:
+    seeds = _integer("seeds", seeds)
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    d, m = _dimensions(d, m)
-    # Before anything is built: listing the m + 4 specs of a huge register is slow.
-    check_size(d, m, max_dim)
+    d, m = check_size(d, m, max_dim)
     register = Register.of(d, m)
     basis_err = register.entry("certificate", _basis_error, d, m)
     plan, single = register.plan(), Register.of(d, 1).plan()

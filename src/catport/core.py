@@ -9,6 +9,7 @@ traces and the other dense reference code live in :mod:`catport.dense`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,6 +31,24 @@ class SizeCapError(ValueError):
     """Requested register dimension exceeds the configured cap."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _dimensions(d, m) -> tuple[int, int]:
+    """(d, m) as ints; ValueError unless both are integers, d >= 2 and m >= 1.
+    The one (d, m) rule: every entry point that takes them applies it."""
+    d, m = _integer("d", d), _integer("m", m)
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    if m < 1:
+        raise ValueError(f"need at least one particle, got {m}")
+    return d, m
+
+
 @dataclass(frozen=True)
 class RegisterShape:
     """A register of ``num_qudits`` systems with ``d`` levels each.
@@ -44,16 +63,20 @@ class RegisterShape:
     max_dim: int = field(default=DEFAULT_MAX_DIM, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
-        if self.num_qudits < 1:
-            raise ValueError(f"need at least one qudit, got {self.num_qudits}")
+        d, n = self.d, self.num_qudits
+        if type(d) is not int or type(n) is not int:  # a numpy d**n would overflow
+            d, n = _integer("d", d), _integer("num_qudits", n)
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "num_qudits", n)
+        if d < 2:
+            raise ValueError(f"local dimension must be >= 2, got {d}")
+        if n < 1:
+            raise ValueError(f"need at least one qudit, got {n}")
         # d**n >= 2**n > max_dim once n reaches the cap's bit length, so a long
         # register fails without computing a power of possibly millions of digits.
-        n = self.num_qudits
-        if n >= int(self.max_dim).bit_length() or self.d**n > self.max_dim:
+        if n >= int(self.max_dim).bit_length() or d**n > self.max_dim:
             raise SizeCapError(
-                f"dense register of {self.d}**{self.num_qudits} amplitudes "
+                f"dense register of {d}**{n} amplitudes "
                 f"exceeds the cap of {self.max_dim}"
             )
 
@@ -162,11 +185,8 @@ class CatState:
     __slots__ = ("d", "m", "coeffs")
 
     def __init__(self, d: int, m: int, coeffs):
+        d, m = _dimensions(d, m)
         coeffs = np.array(coeffs, dtype=np.complex128)
-        if d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {d}")
-        if m < 1:
-            raise ValueError(f"need at least one particle, got {m}")
         if coeffs.shape != (d,):
             raise ShapeMismatchError(f"expected {d} coefficients, got {coeffs.shape}")
         if not np.isfinite(coeffs).all():
@@ -221,6 +241,7 @@ def random_cat_state(d: int, m: int, seed: int) -> CatState:
 
     Deterministic for a fixed seed.
     """
+    d, m = _dimensions(d, m)
     return CatState(d, m, random_cat_coeffs(d, [seed])[0])
 
 

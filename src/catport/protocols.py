@@ -35,7 +35,6 @@ survives only as a test oracle.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -52,6 +51,8 @@ from .core import (
     PureState,
     RegisterShape,
     ShapeMismatchError,
+    _dimensions,
+    _integer,
     cat_sector_indices,
     forward_to_dense,
     lists_each_index_once,
@@ -66,18 +67,6 @@ COLUMN_WINDOW = 1 << 16  # live-pair column rows computed at a time
 # warm call there rebuilds nothing.
 KEEP_BYTES = 1 << 28
 REGISTER_BYTES = 1 << 14  # counted for each register's Python objects
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integer raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _dimensions(d, m) -> tuple[int, int]:
-    """(d, m) as ints, checked as :class:`ProtocolSpec` checks them."""
-    return _integer("d", d), _integer("m", m)
 
 
 class ProtocolKind(Enum):
@@ -104,15 +93,11 @@ class ProtocolSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ProtocolKind):
             raise ValueError(f"protocol kind must be a ProtocolKind, got {self.kind!r}")
-        integers = {"d": self.d, "m": self.m}
+        d, m = _dimensions(self.d, self.m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
         if self.hybrid_k is not None:
-            integers["hybrid_k"] = self.hybrid_k
-        for name, value in integers.items():
-            object.__setattr__(self, name, _integer(name, value))
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
-        if self.m < 1:
-            raise ValueError(f"need at least one particle, got {self.m}")
+            object.__setattr__(self, "hybrid_k", _integer("hybrid_k", self.hybrid_k))
         if self.kind is ProtocolKind.HYBRID:
             if self.hybrid_k is None:
                 raise ValueError("hybrid protocols need hybrid_k")
@@ -144,12 +129,23 @@ def protocol_specs(d: int, m: int) -> list[ProtocolSpec]:
     return list(Register.of(d, m).specs())
 
 
+def _protocol_specs(d: int, m: int) -> tuple[ProtocolSpec, ...]:
+    """The specs :func:`protocol_specs` lists, for the (d, m) register."""
+    specs = [ProtocolSpec(ProtocolKind.BELL, d, m)]
+    if m >= 2:
+        specs.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
+    specs.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
+    specs.extend(ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2))
+    return tuple(specs)
+
+
 class Register:
     """Everything the engine keeps at one (d, m) between calls, each entry
-    built on first use from this register alone: the protocol specs, the
-    live-pair column of each ladder position (k, ghz), the ladder positions,
-    the pair tables, the correction of each pair, the check plan and the
-    basis certificate, which :mod:`catport.checks` fills.
+    built on first use from this register alone by its builder, through
+    :meth:`entry`: the protocol specs, the live-pair column of each ladder
+    position (k, ghz), the ladder positions, the pair tables, the correction
+    of each pair, the check plan and the basis certificate, which
+    :mod:`catport.checks` fills.
 
     The class keeps the one store of registers, least recently used first.
     A register counts each array buffer of its entries once, since the
@@ -175,23 +171,20 @@ class Register:
 
     @classmethod
     def of(cls, d: int, m: int) -> "Register":
-        """The register of (d, m), checked as :class:`ProtocolSpec` checks
-        them; a new one is kept on first use."""
-        if type(d) is not int or type(m) is not int:
+        """The register of (d, m), checked by :func:`core._dimensions` before
+        a new one is kept on first use."""
+        if type(d) is not int or type(m) is not int or d < 2 or m < 1:
             d, m = _dimensions(d, m)
         key = d, m
-        cls._lock.acquire()  # not ``with``: a lookup is on every call's path
-        try:
+        with cls._lock:
             register = cls._kept.get(key)
-            if register is not None:
+            if register is None:
+                register = cls._kept[key] = cls(d, m)
+                cls._kept_bytes += register.nbytes
+                cls._trim()
+            else:
                 cls._kept.move_to_end(key)
-                return register
-            register = cls._kept[key] = cls(d, m)
-            cls._kept_bytes += register.nbytes
-            cls._trim()
-            return register
-        finally:
-            cls._lock.release()
+        return register
 
     @classmethod
     def cache_clear(cls) -> None:
@@ -210,35 +203,22 @@ class Register:
     def entry(self, key, build, *args):
         """The entry ``key``, kept from ``build(*args)`` on first use."""
         value = self.entries.get(key)
-        if value is None:
-            value = self._keep(key, build(*args))
-        return value
-
-    def _keep(self, key, value):
-        kept = self.entries.setdefault(key, value)
-        if kept is value:
+        if value is not None:
+            return value
+        built = build(*args)
+        value = self.entries.setdefault(key, built)
+        if value is built:
             with Register._lock:
-                fresh = {id(b): b.nbytes for b in _buffers(value) if id(b) not in self._counted}
+                fresh = {id(b): b.nbytes for b in _buffers(built) if id(b) not in self._counted}
                 self._counted.update(fresh)
                 self.nbytes += sum(fresh.values())
                 if Register._kept.get((self.d, self.m)) is self:
                     Register._kept_bytes += sum(fresh.values())
                     Register._trim()
-        return kept
+        return value
 
     def specs(self) -> tuple[ProtocolSpec, ...]:
-        specs = self.entries.get("specs")
-        if specs is None:
-            d, m = self.d, self.m
-            built = [ProtocolSpec(ProtocolKind.BELL, d, m)]
-            if m >= 2:
-                built.append(ProtocolSpec(ProtocolKind.GHZ, d, m))
-            built.append(ProtocolSpec(ProtocolKind.BARRED, d, m))
-            built.extend(
-                ProtocolSpec(ProtocolKind.HYBRID, d, m, hybrid_k=k) for k in range(2, m + 2)
-            )
-            specs = self._keep("specs", tuple(built))
-        return specs
+        return self.entry("specs", _protocol_specs, self.d, self.m)
 
     def column(self, rung: Rung) -> np.ndarray:
         """Each pair ``shift * d + phase`` of the d**k outcome rows of
@@ -246,34 +226,17 @@ class Register:
         Indexing the pairs' probabilities with it gives the outcome
         probability column; every later row is zero by structure. Rungs that
         differ only in their label form, joint or bare, share it."""
-        key = ("column", rung.k, rung.ghz)
-        column = self.entries.get(key)
-        if column is None:
-            # A window at a time, so the arithmetic's temporaries stay window-sized.
-            built = np.empty(rung.live, dtype=np.int64)
-            for start in range(0, rung.live, COLUMN_WINDOW):
-                stop = min(start + COLUMN_WINDOW, rung.live)
-                built[start:stop] = rung.pairs(start, stop)
-            built.setflags(write=False)
-            column = self._keep(key, built)
-        return column
+        return self.entry(("column", rung.k, rung.ghz), _live_column, rung)
 
     def positions(self):
         return self.entry("positions", _ladder_positions, self)
 
     def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        tables = self.entries.get("pair_tables")
-        if tables is None:
-            tables = self._keep("pair_tables", _pair_tables(self.d))
-        return tables
+        return self.entry("pair_tables", _pair_tables, self.d)
 
     def correction(self, pair: int) -> MonomialOperator:
         """The one correction for ``pair = shift * d + phase``."""
-        key = ("correction", pair)
-        correction = self.entries.get(key)
-        if correction is None:
-            correction = self._keep(key, _build_correction(self.d, self.m, pair))
-        return correction
+        return self.entry(("correction", pair), _build_correction, self.d, self.m, pair)
 
     def plan(self) -> "_CheckPlan":
         return self.entry("plan", _check_plan, self)
@@ -431,13 +394,13 @@ class EquivalenceReport:
     max_state_delta: float
 
 
-def check_size(d: int, m: int, max_dim: int) -> None:
-    """Raise ValueError, worded as ProtocolSpec words it, unless d >= 2 and
-    m >= 1, and SizeCapError if d**(2m+1), the nominal joint register at
-    (d, m), exceeds ``max_dim``."""
-    if d >= 2 and m < 1:
-        raise ValueError(f"need at least one particle, got {m}")
+def check_size(d: int, m: int, max_dim: int) -> tuple[int, int]:
+    """(d, m) checked by :func:`core._dimensions`; SizeCapError if
+    d**(2m+1), the nominal joint register at (d, m), exceeds ``max_dim``."""
+    if type(d) is not int or type(m) is not int or d < 2 or m < 1:
+        d, m = _dimensions(d, m)
     RegisterShape(d, 2 * m + 1, max_dim=max_dim)
+    return d, m
 
 
 def _check_inputs(cat: CatState, spec: ProtocolSpec, max_dim: int) -> None:
@@ -498,9 +461,15 @@ def _ladder_positions(register: Register):
     return ladder, tuple(slots)
 
 
-def _live_label(spec: ProtocolSpec, row: int) -> BasisLabel:
-    """The label of ``row``, laid out as :meth:`Register.column` reads the rows."""
-    return spec.rung.label(row)
+def _live_column(rung: Rung) -> np.ndarray:
+    """The pairs of the first ``rung.live`` rows, for :meth:`Register.column`,
+    a window at a time, so the arithmetic's temporaries stay window-sized."""
+    column = np.empty(rung.live, dtype=np.int64)
+    for start in range(0, rung.live, COLUMN_WINDOW):
+        stop = min(start + COLUMN_WINDOW, rung.live)
+        column[start:stop] = rung.pairs(start, stop)
+    column.setflags(write=False)
+    return column
 
 
 def _label_pair(spec: ProtocolSpec, label: BasisLabel) -> int:
@@ -686,7 +655,7 @@ def run_protocol(
     position = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
     bob_shape = RegisterShape(spec.d, spec.m, max_dim=max_dim)
     finished = _finish_pairs(register, cat, pairs[position : position + 1], branched, bob_shape)[0]
-    return OutcomeRecord(_live_label(spec, position), *finished)
+    return OutcomeRecord(spec.rung.label(position), *finished)
 
 
 class FoldTables(NamedTuple):
@@ -820,10 +789,9 @@ def barred_equivalence_check(
     pair live on one side only is a state error of 1. For m=1 both sides
     are the same protocol and the deltas vanish identically.
     """
-    d, m = _dimensions(d, m)
+    d, m = check_size(d, m, max_dim)
     if (cat.d, cat.m) != (d, m):
         raise ValueError(f"cat state is (d={cat.d}, m={cat.m}), asked for ({d}, {m})")
-    check_size(d, m, max_dim)
     register = Register.of(d, m)
     plan, single = register.plan(), Register.of(d, 1).plan()
     coeffs = cat.coeffs[None]

@@ -703,10 +703,12 @@ def test_stacked_cats_match_the_per_cat_loop(d, m, seeds):
         assert results[name] == error, (name, results[name], error)
 
 
-@pytest.mark.parametrize("seeds", [0, -1])
+@pytest.mark.parametrize("seeds", [0, -1, 2.5, True, np.float64(2), "2"])
 def test_no_seeds_rejected_before_anything_is_built(seeds):
-    with pytest.raises(ValueError, match="seeds"):
+    with pytest.raises(ValueError) as error:
         run_all_checks(3, 2, seeds)
+    fault = "be at least 1" if type(seeds) is int else "be an integer"
+    assert str(error.value) == f"seeds must {fault}, got {seeds!r}"
     # Neither the size cap nor the specs are reached.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="seeds"):

@@ -121,6 +121,17 @@ class TestRegisterShape:
     def test_total_is_exact(self):
         assert RegisterShape(3, 9).total == 3**9
 
+    def test_numpy_integers_are_stored_as_ints(self):
+        # In int64, 10**19 wraps to a negative total that would pass the cap.
+        with pytest.raises(SizeCapError):
+            RegisterShape(np.int64(10), 19)
+        shape = RegisterShape(np.int64(3), np.int32(2))
+        assert type(shape.d) is type(shape.num_qudits) is type(shape.total) is int
+        assert shape.total == 9
+        for d, n in [(2.0, 3), (True, 3), (2, 3.0), (2, False)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                RegisterShape(d, n)
+
 
 class TestPureState:
     def test_normalized_flag_enforced(self):

@@ -673,7 +673,7 @@ def test_rung_rows_pairs_and_labels_agree(spec):
     for row, label in enumerate(labels):
         assert (protocols._label_pair(spec, label) == rung.pair(row)
                 == rung.pairs(row, row + 1)[0] == pairs[row])
-        assert protocols._live_label(spec, row) == label
+        assert spec.rung.label(row) == label
         assert rung.rank(label) == row
     for start, stop in [(-1, 1), (0, rung.rows + 1), (2, 1)]:
         with pytest.raises(ValueError):
@@ -703,7 +703,7 @@ class TestRowIndex:
             assert list(occurs) == [row < live for row in range(len(labels))], spec
             register = protocols.Register.of(d, m)
             assert register.column(spec.rung).tolist() == list(expected[:live]), spec
-            live_labels = [protocols._live_label(spec, row) for row in range(live)]
+            live_labels = [spec.rung.label(row) for row in range(live)]
             assert live_labels == labels[:live], spec
             for label, pair in zip(labels, pairs):
                 assert correction_for(spec, label) is register.correction(pair)

@@ -12,14 +12,16 @@ import pytest
 from test_sector_oracle import ORACLE_GRID
 
 from catport import analysis, bases, checks, cli, core, protocols
+from catport.analysis import cost_table
 from catport.checks import run_all_checks
-from catport.core import random_cat_state
+from catport.core import CatState, random_cat_state
 from catport.protocols import (
     REGISTER_BYTES,
     ProtocolKind,
     ProtocolSpec,
     Register,
     barred_equivalence_check,
+    check_size,
     correction_for,
     enumerate_outcomes,
     protocol_specs,
@@ -116,7 +118,8 @@ def test_held_memory_stays_under_the_budget(monkeypatch):
 
 ENTRIES_BUILT_BY = [(protocols, "_build_correction"), (protocols, "_check_plan"),
                     (protocols, "_ladder_positions"), (protocols, "_pair_tables"),
-                    (checks, "_basis_error"), (Register, "_keep")]
+                    (checks, "_basis_error"), (protocols, "_protocol_specs"),
+                    (protocols, "_live_column")]
 
 
 @pytest.mark.parametrize("d, m", ORACLE_GRID)
@@ -140,33 +143,49 @@ def test_warm_calls_build_nothing(monkeypatch, d, m):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("d, m", [(3.0, 2), (True, 2), (np.float64(3), 2),
-                                  (3, 2.0), (3, True), (3, np.float64(2))])
+                                  (3, 2.0), (3, True), (3, np.float64(2)), (1, 2), (2, 0)])
 def test_non_integer_dimensions_are_rejected_cold_and_warm(d, m, warm):
     cat = random_cat_state(3, 2, 0)
     if warm:
         protocol_specs(3, 2)
         run_all_checks(3, 2, 1)
         barred_equivalence_check(cat, 3, 2)
-    name, value = ("d", d) if m == 2 and type(m) is int else ("m", m)
-    message = f"{name} must be an integer, got {value!r}"
+    kept = list(Register._kept)
+    calls = [lambda: protocol_specs(d, m), lambda: run_all_checks(d, m, 1),
+             lambda: barred_equivalence_check(cat, d, m), lambda: Register.of(d, m),
+             lambda: check_size(d, m, 2**60), lambda: random_cat_state(d, m, 0),
+             # Coefficients sized for int(d), so only the dimensions are wrong.
+             lambda: CatState(d, m, np.eye(int(d))[0])]
+    if type(d) is int and type(m) is int:  # out of range
+        message = (f"local dimension must be >= 2, got {d}" if d < 2
+                   else f"need at least one particle, got {m}")
+        calls.append(lambda: cost_table([d], [m]))
+    else:
+        name, value = ("d", d) if m == 2 and type(m) is int else ("m", m)
+        message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError) as spec_error:
         ProtocolSpec(ProtocolKind.BELL, d, m)
     assert str(spec_error.value) == message
-    for call in (lambda: protocol_specs(d, m), lambda: run_all_checks(d, m, 1),
-                 lambda: barred_equivalence_check(cat, d, m)):
+    for call in calls:
         with pytest.raises(ValueError) as error:
             call()
         assert str(error.value) == message
+    assert list(Register._kept) == kept
 
 
 def test_numpy_integer_dimensions_still_work():
     cat = random_cat_state(3, 2, 0)
     d, m = np.int64(3), np.int32(2)
     assert protocol_specs(d, m) == protocol_specs(3, 2)
-    assert run_all_checks(d, m, 2) == run_all_checks(3, 2, 2)
+    assert run_all_checks(d, m, np.int64(2)) == run_all_checks(3, 2, 2)
     assert barred_equivalence_check(cat, d, m) == barred_equivalence_check(cat, 3, 2)
     assert set(Register._kept) == {(3, 1), (3, 2)}
     assert all(type(key) is int for keys in Register._kept for key in keys)
+    assert check_size(d, m, 2**60) == (3, 2)
+    assert all(type(value) is int for value in check_size(d, m, 2**60))
+    for state in (CatState(d, m, cat.coeffs), random_cat_state(d, m, 0)):
+        assert type(state.d) is type(state.m) is int
+    assert np.array_equal(random_cat_state(d, m, 0).coeffs, cat.coeffs)
 
 
 def test_a_module_walk_of_cache_clear_leaves_nothing_built(monkeypatch):
