@@ -47,39 +47,30 @@ def collective_measurement_arity(spec: ProtocolSpec) -> int:
     return spec.rung.block + 1
 
 
-def _fits(d: int, m: int, max_dim: int) -> bool:
+def _cross_check(d: int, m: int, specs, seed: int, max_dim: int) -> None:
+    """The one cross-check of :func:`cost_of` and :func:`cost_table`: raise
+    RuntimeError at the first of ``specs``, all at (d, m), whose live rows'
+    probabilities on the random cat state of ``seed`` are not over PROB_FLOOR
+    exactly ``nonzero_outcome_count(spec)`` times. One branch pass, stacked
+    over the specs' live counts, serves every spec; each row is rounded as
+    it would be alone. Over the size cap, check nothing."""
     try:
         check_size(d, m, max_dim)
     except SizeCapError:
-        return False
-    return True
-
-
-def _cross_check(spec: ProtocolSpec, observed: int) -> None:
-    """Raise RuntimeError unless ``observed``, the number of the engine's
-    outcome probabilities over PROB_FLOOR, is ``nonzero_outcome_count(spec)``."""
-    expected = nonzero_outcome_count(spec)
-    if observed != expected:
-        raise RuntimeError(
-            f"counted {observed} nonzero outcomes for {spec}, "
-            f"expected {expected}"
-        )
-
-
-def _observed_counts(d: int, m: int, seed: int) -> list[int]:
-    """For each spec of ``protocol_specs(d, m)``, in order, how many of its
-    live rows' probabilities exceed PROB_FLOOR on the random cat state of
-    ``seed``: one branch pass stacked over the ladder positions, and each
-    stored live-pair column counted once."""
+        return
     register = Register.of(d, m)
-    positions, slots = register.positions()
-    lives = [position.live for position in positions]
-    branched = _pair_branches(register, random_cat_coeffs(d, [seed])[0], lives)
-    counts = [
-        [int(np.count_nonzero(probabilities[column] > PROB_FLOOR)) for column in position.columns]
-        for position, probabilities in zip(positions, branched[1])
-    ]
-    return [counts[position][column] for position, column in slots]
+    lives = sorted({spec.rung.live for spec in specs})
+    probabilities = _pair_branches(register, random_cat_coeffs(d, [seed])[0], lives)[1]
+    nonzero = probabilities > PROB_FLOOR
+    for spec in specs:
+        live_rows = nonzero[lives.index(spec.rung.live)][register.column(spec.rung)]
+        observed = int(np.count_nonzero(live_rows))
+        expected = nonzero_outcome_count(spec)
+        if observed != expected:
+            raise RuntimeError(
+                f"counted {observed} nonzero outcomes for {spec}, "
+                f"expected {expected}"
+            )
 
 
 def cost_of(
@@ -98,9 +89,8 @@ def cost_of(
     records there, with every later row zero by structure. A mismatch raises
     RuntimeError.
     """
-    if cross_check and _fits(spec.d, spec.m, max_dim):
-        index = protocol_specs(spec.d, spec.m).index(spec)
-        _cross_check(spec, _observed_counts(spec.d, spec.m, seed)[index])
+    if cross_check:
+        _cross_check(spec.d, spec.m, [spec], seed, max_dim)
     nonzero = nonzero_outcome_count(spec)
     return CostRow(
         spec=spec,
@@ -134,7 +124,8 @@ def cost_table(
 
     Each pair contributes the Bell, GHZ and barred rows, plus the full
     hybrid ladder k = 2..m+1 when ``include_hybrids`` is set. The
-    cross-check is ``cost_of``'s at seed 0, on one cat state per pair.
+    cross-check is ``cost_of``'s at seed 0, on one cat state per pair, for
+    the rows the table keeps and no others.
     """
     d_values = _integers(d_values, "d")
     m_values = _integers(m_values, "m")
@@ -143,10 +134,9 @@ def cost_table(
     rows = []
     for d in d_values:
         for m in m_values:
-            observed = _observed_counts(d, m, 0) if cross_check and _fits(d, m, max_dim) else None
-            for index, spec in enumerate(protocol_specs(d, m)):
-                if include_hybrids or spec.kind is not ProtocolKind.HYBRID:
-                    if observed is not None:
-                        _cross_check(spec, observed[index])
-                    rows.append(cost_of(spec, cross_check=False))
+            specs = [spec for spec in protocol_specs(d, m)
+                     if include_hybrids or spec.kind is not ProtocolKind.HYBRID]
+            if cross_check:
+                _cross_check(d, m, specs, 0, max_dim)
+            rows.extend(cost_of(spec, cross_check=False) for spec in specs)
     return rows

@@ -31,10 +31,11 @@ the store keeps the (d, m) :class:`protocols.Register`: the basis
 certificate of :func:`_basis_error`, which this module fills into the
 register's ``"certificate"`` entry, and everything else in its check plan,
 :func:`protocols._check_plan`. The plan certifies the register's d**2
-corrections one at a time, reads their sector images into fold tables and
-keeps the ladder positions, whose masks give the equivalence's collective
-side. The single-particle side is the plan of the (d, 1) register. A warm
-call does only its cat blocks.
+corrections one at a time and reads their sector images into fold tables,
+whose row p is pair p, as in the branches. It keeps the ladder positions,
+whose masks pick each position's used pairs and give the equivalence's
+collective side. The single-particle side is the plan of the (d, 1)
+register. A warm call does only its cat blocks.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def run_all_checks(
     basis_err = register.entry("certificate", _basis_error, d, m)
     plan, single = register.plan(), Register.of(d, 1).plan()
 
-    def worst(errors):  # over positions x cats x ``plan.fold.pairs``, at each position's own pairs
-        return float(np.where(plan.own_pairs, errors, 0.0).max())
+    def worst(errors):  # over positions x cats x pairs, at each position's used pairs
+        return float(np.where(plan.masks[:, None], errors, 0.0).max())
 
     sum_err = 0.0
     fidelity_err = 0.0
@@ -177,13 +178,13 @@ def run_all_checks(
         stack = np.concatenate([block, block[:1] * np.exp(0.73j)]) if start == 0 else block
         # At each position the first d**k rows can occur, each with probability 1/d**k.
         branched = _pair_branches(register, stack, plan.lives)
+        probabilities = branched[1]
         folded, leaked, fidelities = _fold_corrections(stack, branched, plan.fold)
-        probabilities = branched[1][..., plan.fold.pairs]
         if start == 0:
             twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
             phase_err = max(phase_err, *map(worst, twisted))
         # Row order, as a running sum over the outcome records adds them.
-        for position, (live, _, columns) in zip(branched[1], plan.positions):
+        for position, (live, _, columns) in zip(probabilities, plan.positions):
             chunk = max(1, (CHECK_BLOCK_ENTRIES >> 4) // live)
             for live_pairs in columns:
                 for first in range(0, cats, chunk):
@@ -206,13 +207,13 @@ def run_all_checks(
         rho = traced @ traced.conj().transpose(0, 2, 1)
         signaling_err = max(signaling_err, float(np.abs(rho - np.eye(d) / d).max()))
 
-        shared = (branched[0][plan.collective, :cats], branched[1][plan.collective, :cats])
+        shared = (branched[0][plan.collective, :cats], probabilities[plan.collective, :cats])
         many = (folded[plan.collective, :cats], leaked[plan.collective, :cats])
         prob_deltas, state_deltas = _equivalence_deltas(stack[:cats], shared, plan, single, *many)
         equivalence_err = max(equivalence_err, float(np.maximum(prob_deltas, state_deltas).max()))
         # Free the block's branches and fold, with the equivalence's views of
         # them, before the next block builds its own.
-        del branched, folded, shared, many
+        del branched, probabilities, folded, shared, many
 
     return [
         _result("basis_orthonormality", basis_err, 1e-12),

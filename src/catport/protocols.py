@@ -659,12 +659,12 @@ def run_protocol(
 
 
 class FoldTables(NamedTuple):
-    """What :func:`_fold_corrections` reads of the corrections of ``pairs``:
-    their sector factors, one row per pair, the mask of entries the
+    """What :func:`_fold_corrections` reads of the register's d**2
+    corrections, one row per pair p = shift * d + phase, as in
+    :func:`_pair_branches`: their sector factors, the mask of entries the
     correction keeps on the sector, the (row, column) of each such entry and
     its target slot, and whether every entry stays on."""
 
-    pairs: np.ndarray
     factors: np.ndarray
     on_sector: np.ndarray
     rows: np.ndarray
@@ -673,30 +673,27 @@ class FoldTables(NamedTuple):
     all_on: bool
 
 
-def _fold_tables(pairs: np.ndarray, images) -> FoldTables:
-    """The fold tables of the pairs ``pairs`` from the sector images
-    ``images = _register_images(...)[1]``."""
-    slots, factors = images[0][pairs], images[1][pairs]
+def _fold_tables(images) -> FoldTables:
+    """The fold tables of the sector images ``images = _register_images(...)[1]``."""
+    slots, factors = images
     on_sector = slots >= 0
     rows, cols = np.nonzero(on_sector)
     targets = slots[rows, cols]
-    for array in (factors, on_sector, rows, cols, targets):
+    for array in (on_sector, rows, cols, targets):
         array.setflags(write=False)
-    return FoldTables(pairs, factors, on_sector, rows, cols, targets, bool(on_sector.all()))
+    return FoldTables(factors, on_sector, rows, cols, targets, bool(on_sector.all()))
 
 
 def _fold_corrections(coeffs: np.ndarray, branched, tables: FoldTables):
-    """Each pair of ``tables`` after its real correction, for the cat
-    coefficients ``coeffs`` or a stack of them on leading axes, as passed to
+    """Each pair after its real correction, for the cat coefficients
+    ``coeffs`` or a stack of them on leading axes, as passed to
     ``_pair_branches`` (``branched`` may add ladder positions in front): the
     amplitudes left on the sector |i..i>, one row per pair, the norm sent off
     it, and the fidelity with the cat. The arithmetic is the engine's, so
     correct corrections give its fidelities bit for bit, per cat as if alone."""
     branches, probabilities = branched
-    pairs, rows = tables.pairs, tables.rows
-    scales = np.sqrt(probabilities[..., pairs])[..., None]
-    # np.take keeps C order, so a fold with every entry on the sector scatters it as it is.
-    moved = np.take(branches, pairs, axis=-2) / scales * tables.factors
+    rows = tables.rows
+    moved = branches / np.sqrt(probabilities)[..., None] * tables.factors
     folded = np.zeros_like(moved)
     if tables.all_on:  # every entry moves, in order, and nothing leaks
         folded[..., rows, tables.targets] = moved.reshape(moved.shape[:-2] + (-1,))
@@ -718,25 +715,22 @@ class _CheckPlan(NamedTuple):
     lives: list[int]
     shares: np.ndarray
     masks: np.ndarray
-    own_pairs: np.ndarray
     missing_shifts: int
     collective: int
-    many_rows: np.ndarray
 
 
 def _check_plan(register: Register) -> _CheckPlan:
     """The checks' work that depends on (d, m) alone: the corrections'
     certificate, from :func:`_register_images`, which keeps no correction,
-    the fold tables of the used pairs, and the register's ladder positions
-    with their masks and shares. The collective side of the equivalence is
-    the first position with d**2 live rows, GHZ(m) or barred at m = 1, and
-    its rows in the fold are ``many_rows``. At m = 1 every spec shares one
-    position, so the plan at m = 1 is the single-particle side."""
+    the fold tables of every pair, whose row p is pair p as in
+    :func:`_pair_branches`, and the register's ladder positions with their
+    masks of used pairs and their shares. The collective side of the
+    equivalence is the first position with d**2 live rows, GHZ(m) or barred
+    at m = 1. At m = 1 every spec shares one position, so the plan at m = 1
+    is the single-particle side."""
     d, m = register.d, register.m
     positions = register.positions()[0]
     masks = np.array([position.used for position in positions])
-    # Outcomes with the same (shift, phase) pair share one correction.
-    pairs = np.flatnonzero(masks.any(axis=0))
     unitarity_err, images = _register_images(d, m)
 
     # The ladder positions are one stacked axis of the branches and the fold.
@@ -745,14 +739,10 @@ def _check_plan(register: Register) -> _CheckPlan:
     # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
     # has shift s; with no such live row, it would land on a forbidden one.
     missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
-
-    collective = lives.index(d * d)
-    many_rows = np.searchsorted(pairs, np.flatnonzero(masks[collective]))
-    own_pairs = masks[:, None, pairs]
-    for array in (pairs, shares, masks, own_pairs, many_rows):
+    for array in (shares, masks):
         array.setflags(write=False)
-    return _CheckPlan(unitarity_err, _fold_tables(pairs, images), positions, lives, shares,
-                      masks, own_pairs, missing_shifts, collective, many_rows)
+    return _CheckPlan(unitarity_err, _fold_tables(images), positions, lives, shares, masks,
+                      missing_shifts, lives.index(d * d))
 
 
 def _equivalence_deltas(coeffs, branched, plan: _CheckPlan, single: _CheckPlan, folded, leaked):
@@ -762,16 +752,17 @@ def _equivalence_deltas(coeffs, branched, plan: _CheckPlan, single: _CheckPlan, 
     ``branched = _pair_branches(register, coeffs, d**2)`` and the collective
     position's ``folded, leaked = _fold_corrections(coeffs, branched,
     plan.fold)[:2]``. The single side is ``single``, the plan at m = 1,
-    folded here. Each cat gets the bits it gets alone."""
+    folded here. Both sides are compared on the collective side's used
+    pairs, which are then the single side's too. Each cat gets the bits it
+    gets alone."""
     many_used, single_used = plan.masks[plan.collective], single.masks[0]
     many_p, single_p = (np.where(used, branched[1], 0.0) for used in (many_used, single_used))
     prob_deltas = np.abs(many_p - single_p).max(axis=-1)
     if not np.array_equal(many_used, single_used):
         return prob_deltas, np.ones_like(prob_deltas)
-    many_post = folded[..., plan.many_rows, :]
     single_post = _fold_corrections(coeffs, branched, single.fold)[0]
-    state_deltas = np.abs(many_post - single_post).max(axis=(-2, -1))
-    return prob_deltas, np.maximum(state_deltas, leaked[..., plan.many_rows].max(axis=-1))
+    state_deltas = np.abs(folded - single_post)[..., many_used, :].max(axis=(-2, -1))
+    return prob_deltas, np.maximum(state_deltas, leaked[..., many_used].max(axis=-1))
 
 
 def barred_equivalence_check(

@@ -182,6 +182,19 @@ class TestCostTable:
         rows = cost_table([2, 3], [1, 2, 3], include_hybrids=True, cross_check=True)
         assert len(rows) == sum(len(protocols.protocol_specs(d, m)) for d in (2, 3) for m in (1, 2, 3))
         assert drawn == [(d, [0]) for d in (2, 3) for m in (1, 2, 3)]
+        # cost_of cross-checks its one spec on one cat, and draws none unchecked.
+        drawn.clear()
+        cost_of(hybrid(3, 3, 3), cross_check=True, seed=4)
+        assert drawn == [(3, [4])]
+        cost_of(hybrid(3, 3, 3), cross_check=False)
+        assert drawn == [(3, [4])]
+
+    def test_unchecked_cost_keeps_no_register(self):
+        # The analytic row reads the rung alone, so it costs O(1) at any m.
+        kept = list(protocols.Register._kept.items())
+        row = cost_of(hybrid(2, 10**4, 2), cross_check=False)
+        assert row.nonzero_outcome_count == 4
+        assert list(protocols.Register._kept.items()) == kept
 
     def test_cross_checked_table_builds_no_outcome_records(self, monkeypatch):
         def no_records(*args, **kwargs):

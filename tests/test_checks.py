@@ -280,6 +280,15 @@ def hybrid_columns_lose_their_shift(rung_pairs):
     return lost
 
 
+def every_column_loses_its_shift(rung_pairs):
+    # Every live row keeps its phase and has shift 0, on both equivalence
+    # sides alike, so their masks are equal and partial.
+    def lost(rung, start, stop):
+        return rung_pairs(rung, start, stop) % rung.d
+
+    return lost
+
+
 def ghz_column_repeats_pair_0(rung_pairs):
     # A GHZ column that repeats pair 0 where pair 1 was leaves pair 1 live on
     # the single-particle side only. Both the one-cat check and the stacked
@@ -305,6 +314,12 @@ def records_at_another_m_misfit():
     assert [spec.m for spec in protocol_specs(3, 2)] == [1, 1, 1]
     with pytest.raises(ShapeMismatchError):
         enumerate_outcomes(random_cat_state(3, 2, 0), ProtocolSpec(ProtocolKind.BELL, 3, 2))
+
+
+def one_cat_check_compares_the_equal_partial_masks():
+    # Both sides' folds are compared on the pairs the masks keep, and agree.
+    report = protocols.barred_equivalence_check(random_cat_state(3, 2, 0), 3, 2)
+    assert (report.max_prob_delta, report.max_state_delta) == (0.0, 0.0)
 
 
 def one_cat_check_sees_the_repeated_pair():
@@ -383,6 +398,9 @@ MUTANTS = {
     "hybrid_columns_lose_their_shift": Mutant(
         *RUNG_PAIRS, hybrid_columns_lose_their_shift,
         frozenset({"selection_rule"}), LADDER, (3, 3, 3)),
+    "every_column_loses_its_shift": Mutant(
+        *RUNG_PAIRS, every_column_loses_its_shift, frozenset({"selection_rule"}), LADDER,
+        also=one_cat_check_compares_the_equal_partial_masks),
     "equivalence_sides_are_the_ladder_masks": Mutant(
         *RUNG_PAIRS, ghz_column_repeats_pair_0, frozenset({"barred_equivalence"}),
         LADDER, (3, 2, 2), one_cat_check_sees_the_repeated_pair),
@@ -771,13 +789,12 @@ def per_cat_equivalence(cat, d, m):
     for side, spec in ((cat, many_spec), single):
         live = d ** ladder_k(spec)
         used = np.bincount(row_pairs(spec)[:live], minlength=d * d) > 0
-        pairs = np.flatnonzero(used)
         branched = protocols._pair_branches(Register.of(d, 1), side.coeffs, live)
         folded, leaked, _ = protocols._fold_corrections(
             side.coeffs, branched,
-            protocols._fold_tables(pairs, per_pair_sector_images(spec, pairs)),
+            protocols._fold_tables(per_pair_sector_images(spec, range(d * d))),
         )
-        sides.append((used, np.where(used, branched[1], 0.0), folded, leaked))
+        sides.append((used, np.where(used, branched[1], 0.0), folded[used], leaked[used]))
     (many_used, many_p, many_post, leaked), (single_used, single_p, single_post, _) = sides
     max_prob_delta = float(np.abs(many_p - single_p).max())
     if not np.array_equal(many_used, single_used):

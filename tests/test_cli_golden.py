@@ -55,6 +55,10 @@ def _cases() -> dict[str, list[str]]:
     for fmt in ("json", "csv"):
         cases[f"verify-4-2.{fmt}"] = ["verify", "--d", "4", "--m", "2", "--seeds", "2100",
                                       "--format", fmt]
+    # A wide fold: 256 pairs per cat.
+    for fmt in ("json", "csv"):
+        cases[f"verify-16-2.{fmt}"] = ["verify", "--d", "16", "--m", "2", "--seeds", "3",
+                                       "--format", fmt]
     return cases
 
 
