@@ -32,10 +32,10 @@ certificate of :func:`_basis_error`, which this module fills into the
 register's ``"certificate"`` entry, and everything else in its check plan,
 :func:`protocols._check_plan`. The plan certifies the register's d**2
 corrections one at a time and reads their sector images into fold tables,
-whose row p is pair p, as in the branches. It keeps the ladder positions,
-whose masks pick each position's used pairs and give the equivalence's
-collective side. The single-particle side is the plan of the (d, 1)
-register. A warm call does only its cat blocks.
+whose row p is pair p, as in the branches. It groups the register's specs
+into ladder positions, whose masks pick each position's used pairs and give
+the equivalence's collective side. The single-particle side is the plan of
+the (d, 1) register. A warm call does only its cat blocks.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def run_all_checks(
             twisted = (np.abs(a[:, -1:] - a[:, :1]) for a in (probabilities, fidelities))
             phase_err = max(phase_err, *map(worst, twisted))
         # Row order, as a running sum over the outcome records adds them.
-        for position, (live, _, columns) in zip(probabilities, plan.positions):
+        for position, live, columns in zip(probabilities, plan.lives, plan.columns):
             chunk = max(1, (CHECK_BLOCK_ENTRIES >> 4) // live)
             for live_pairs in columns:
                 for first in range(0, cats, chunk):

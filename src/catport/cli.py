@@ -107,10 +107,7 @@ def _build_spec(args) -> ProtocolSpec:
         raise CliError("--k only applies to the hybrid protocol")
     if kind is ProtocolKind.HYBRID and args.k is None:
         raise CliError("the hybrid protocol requires --k")
-    try:
-        return ProtocolSpec(kind, args.d, args.m, hybrid_k=k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ProtocolSpec(kind, args.d, args.m, hybrid_k=k)
 
 
 def _resolve_cat(args) -> CatState:

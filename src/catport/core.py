@@ -33,6 +33,8 @@ class SizeCapError(ValueError):
 
 def _integer(name: str, value) -> int:
     """``value`` as an int; a bool or a non-integer raises ValueError."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -63,11 +65,10 @@ class RegisterShape:
     max_dim: int = field(default=DEFAULT_MAX_DIM, compare=False, repr=False)
 
     def __post_init__(self):
-        d, n = self.d, self.num_qudits
-        if type(d) is not int or type(n) is not int:  # a numpy d**n would overflow
-            d, n = _integer("d", d), _integer("num_qudits", n)
-            object.__setattr__(self, "d", d)
-            object.__setattr__(self, "num_qudits", n)
+        # Python ints, as a numpy d**n would overflow.
+        d, n = _integer("d", self.d), _integer("num_qudits", self.num_qudits)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "num_qudits", n)
         if d < 2:
             raise ValueError(f"local dimension must be >= 2, got {d}")
         if n < 1:
@@ -191,7 +192,8 @@ class CatState:
             raise ShapeMismatchError(f"expected {d} coefficients, got {coeffs.shape}")
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite (no NaN or inf)")
-        nrm = float(np.linalg.norm(coeffs))
+        with np.errstate(over="ignore"):  # an infinite norm is rejected below
+            nrm = float(np.linalg.norm(coeffs))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"coefficients have norm {nrm!r}, expected 1")
         coeffs.setflags(write=False)
@@ -227,7 +229,7 @@ def random_cat_coeffs(d: int, seeds: Iterable[int]) -> np.ndarray:
     call, and each row is divided by its own ``np.linalg.norm``, so a row's
     bits do not depend on the seeds drawn with it.
     """
-    seeds = list(seeds)
+    seeds = [_integer("seed", seed) for seed in seeds]
     parts = np.empty((len(seeds), 2, d))
     for seed, row in zip(seeds, parts):
         np.random.default_rng(seed).standard_normal(out=row)

@@ -142,14 +142,14 @@ def _protocol_specs(d: int, m: int) -> tuple[ProtocolSpec, ...]:
 class Register:
     """Everything the engine keeps at one (d, m) between calls, each entry
     built on first use from this register alone by its builder, through
-    :meth:`entry`: the protocol specs, the live-pair column of each ladder
-    position (k, ghz), the ladder positions, the pair tables, the correction
-    of each pair, the check plan and the basis certificate, which
-    :mod:`catport.checks` fills.
+    :meth:`entry`: the protocol specs, the live-pair column of each rung
+    (k, ghz), the pair tables, the correction of each pair, the check plan,
+    which groups the specs into ladder positions, and the basis certificate,
+    which :mod:`catport.checks` fills.
 
     The class keeps the one store of registers, least recently used first.
     A register counts each array buffer of its entries once, since the
-    positions and the plan share the columns, plus ``REGISTER_BYTES`` for
+    column entries and the plan share the columns, plus ``REGISTER_BYTES`` for
     its Python objects. When an entry takes the store past ``KEEP_BYTES``,
     the least recently used registers are dropped until it is back under,
     the asking one last. A call looks its register up once and reads
@@ -173,8 +173,7 @@ class Register:
     def of(cls, d: int, m: int) -> "Register":
         """The register of (d, m), checked by :func:`core._dimensions` before
         a new one is kept on first use."""
-        if type(d) is not int or type(m) is not int or d < 2 or m < 1:
-            d, m = _dimensions(d, m)
+        d, m = _dimensions(d, m)
         key = d, m
         with cls._lock:
             register = cls._kept.get(key)
@@ -227,9 +226,6 @@ class Register:
         probability column; every later row is zero by structure. Rungs that
         differ only in their label form, joint or bare, share it."""
         return self.entry(("column", rung.k, rung.ghz), _live_column, rung)
-
-    def positions(self):
-        return self.entry("positions", _ladder_positions, self)
 
     def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
         return self.entry("pair_tables", _pair_tables, self.d)
@@ -397,8 +393,7 @@ class EquivalenceReport:
 def check_size(d: int, m: int, max_dim: int) -> tuple[int, int]:
     """(d, m) checked by :func:`core._dimensions`; SizeCapError if
     d**(2m+1), the nominal joint register at (d, m), exceeds ``max_dim``."""
-    if type(d) is not int or type(m) is not int or d < 2 or m < 1:
-        d, m = _dimensions(d, m)
+    d, m = _dimensions(d, m)
     RegisterShape(d, 2 * m + 1, max_dim=max_dim)
     return d, m
 
@@ -426,39 +421,6 @@ def measurement_family(spec: ProtocolSpec):
     as a dense :class:`catport.dense.MeasurementBasis`: the reference the
     sector engine is tested against, which the engine never builds."""
     return _family_cached(spec.rung)
-
-
-class LadderPosition(NamedTuple):
-    """Specs with the same d**k live rows over the same pairs, which share
-    branches, probabilities and fold: the count ``live = d**k``, the mask
-    ``used`` of those pairs, and each distinct stored live-pair column once."""
-
-    live: int
-    used: np.ndarray
-    columns: tuple[np.ndarray, ...]
-
-
-def _ladder_positions(register: Register):
-    """The ladder positions of the register's specs in first-use order, and
-    each spec's (position, column) index among them. Only the row order of a
-    spec's completeness sum is its own. Specs whose rungs differ at most in
-    their label form, joint or bare, have equal columns and share one, as
-    equal columns give equal sums."""
-    d, positions, slots = register.d, {}, []
-    for spec in register.specs():
-        live_pairs = register.column(spec.rung)
-        used = np.bincount(live_pairs, minlength=d * d) > 0
-        used.setflags(write=False)
-        index, _, columns = positions.setdefault(
-            (live_pairs.size, used.tobytes()), (len(positions), used, {})
-        )
-        column = (spec.rung.k, spec.rung.ghz)
-        slots.append((index, columns.setdefault(column, (len(columns), live_pairs))[0]))
-    ladder = tuple(
-        LadderPosition(live, used, tuple(column for _, column in columns.values()))
-        for (live, _), (_, used, columns) in positions.items()
-    )
-    return ladder, tuple(slots)
 
 
 def _live_column(rung: Rung) -> np.ndarray:
@@ -644,6 +606,7 @@ def run_protocol(
     sampled, and if rounding leaves the total short of the draw the last
     nonzero outcome is taken. Only the sampled pair's states are built.
     """
+    seed = _integer("seed", seed)
     _check_inputs(cat, spec, max_dim)
     register = Register.of(spec.d, spec.m)
     pairs = register.column(spec.rung)
@@ -711,8 +674,8 @@ class _CheckPlan(NamedTuple):
 
     unitarity_err: float
     fold: FoldTables
-    positions: tuple[LadderPosition, ...]
     lives: list[int]
+    columns: tuple[tuple[np.ndarray, ...], ...]
     shares: np.ndarray
     masks: np.ndarray
     missing_shifts: int
@@ -723,25 +686,39 @@ def _check_plan(register: Register) -> _CheckPlan:
     """The checks' work that depends on (d, m) alone: the corrections'
     certificate, from :func:`_register_images`, which keeps no correction,
     the fold tables of every pair, whose row p is pair p as in
-    :func:`_pair_branches`, and the register's ladder positions with their
-    masks of used pairs and their shares. The collective side of the
-    equivalence is the first position with d**2 live rows, GHZ(m) or barred
-    at m = 1. At m = 1 every spec shares one position, so the plan at m = 1
-    is the single-particle side."""
+    :func:`_pair_branches`, and the register's ladder positions.
+
+    Specs with the same d**k live rows over the same pairs share a
+    position, and so branches, probabilities and fold; the positions come in
+    first-use order, each with its count ``lives[i] = d**k``, its mask
+    ``masks[i]`` of used pairs, its share 1/d**k and its distinct stored
+    live-pair columns once each. Only the row order of a spec's completeness
+    sum is its own. Specs whose rungs differ at most in their label form,
+    joint or bare, have equal columns and share one, as equal columns give
+    equal sums. The collective side of the equivalence is the first
+    position with d**2 live rows, GHZ(m) or barred at m = 1. At m = 1 every
+    spec shares one position, so the plan at m = 1 is the single-particle
+    side."""
     d, m = register.d, register.m
-    positions = register.positions()[0]
-    masks = np.array([position.used for position in positions])
+    ladder = {}  # (live, used pairs) -> (used pairs, {id: column})
+    for spec in register.specs():
+        column = register.column(spec.rung)
+        used = np.bincount(column, minlength=d * d) > 0
+        kept = ladder.setdefault((column.size, used.tobytes()), (used, {}))[1]
+        kept.setdefault(id(column), column)
     unitarity_err, images = _register_images(d, m)
 
     # The ladder positions are one stacked axis of the branches and the fold.
-    lives = [position.live for position in positions]
+    lives = [live for live, _ in ladder]
+    columns = tuple(tuple(kept.values()) for _, kept in ladder.values())
     shares = np.array([1.0 / live for live in lives])[:, None, None]
+    masks = np.array([used for used, _ in ladder.values()])
     # Joint amplitude on sender (l..l, l + s) reaches only rows whose pair
     # has shift s; with no such live row, it would land on a forbidden one.
     missing_shifts = d - int(masks.reshape(-1, d, d).any(axis=2).sum(axis=1).min())
     for array in (shares, masks):
         array.setflags(write=False)
-    return _CheckPlan(unitarity_err, _fold_tables(images), positions, lives, shares, masks,
+    return _CheckPlan(unitarity_err, _fold_tables(images), lives, columns, shares, masks,
                       missing_shifts, lives.index(d * d))
 
 
@@ -756,8 +733,8 @@ def _equivalence_deltas(coeffs, branched, plan: _CheckPlan, single: _CheckPlan, 
     pairs, which are then the single side's too. Each cat gets the bits it
     gets alone."""
     many_used, single_used = plan.masks[plan.collective], single.masks[0]
-    many_p, single_p = (np.where(used, branched[1], 0.0) for used in (many_used, single_used))
-    prob_deltas = np.abs(many_p - single_p).max(axis=-1)
+    # The sides share each probability, so they differ by it where one side alone uses it.
+    prob_deltas = np.where(many_used != single_used, branched[1], 0.0).max(axis=-1)
     if not np.array_equal(many_used, single_used):
         return prob_deltas, np.ones_like(prob_deltas)
     single_post = _fold_corrections(coeffs, branched, single.fold)[0]

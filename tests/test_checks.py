@@ -53,7 +53,7 @@ def failures(d, m, seeds):
 # only these, so an entry kept anywhere else would hide the mutant.
 CORRECTIONS = ("correction", "plan")
 BASIS = ("certificate",)
-LADDER = ("column", "positions", "plan")
+LADDER = ("column", "plan")
 PAIR_TABLES = ("pair_tables",)
 
 
@@ -86,9 +86,9 @@ def fresh_basis_certificate():
 
 @pytest.fixture()
 def fresh_ladder():
-    """Drop the live-pair columns, the ladder positions and the check plans
-    built from them before and after, so a patched column reaches both
-    equivalence sides and leaves nothing behind for other tests."""
+    """Drop the live-pair columns and the check plans built from them before
+    and after, so a patched column reaches both equivalence sides and leaves
+    nothing behind for other tests."""
     drop(LADDER)
     yield
     drop(LADDER)

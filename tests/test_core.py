@@ -332,6 +332,11 @@ class TestCatState:
         with pytest.raises(ValueError):
             CatState(2, 1, [1.0, 1.0])
 
+    def test_overflowing_norm_is_rejected_without_a_warning(self):
+        # The norm overflows to inf; the warning policy would raise that first.
+        with pytest.raises(ValueError, match="norm inf"):
+            CatState(2, 1, [1e200, 1e200])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
     def test_rejects_non_finite_coefficients(self, bad):
         # abs(nan - 1) > tol is False, so a norm check alone lets NaN through

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 from itertools import product
 
@@ -594,6 +595,26 @@ class TestRunProtocol:
         spec = ProtocolSpec(ProtocolKind.BARRED, 2, 2)
         seen = {run_protocol(cat, spec, seed).label for seed in range(200)}
         assert len(seen) == 4
+
+    @pytest.mark.parametrize("seed", [2.5, True, np.float64(2), "2"], ids=repr)
+    def test_every_seeded_call_takes_integer_seeds_alone(self, seed):
+        cat, spec = random_cat_state(3, 2, 0), ProtocolSpec(ProtocolKind.GHZ, 3, 2)
+        calls = [lambda: run_protocol(cat, spec, seed), lambda: random_cat_state(3, 2, seed),
+                 lambda: cost_of(spec, seed=seed)]
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_a_numpy_integer_seed_is_its_int(self):
+        cat, spec = random_cat_state(3, 2, 0), ProtocolSpec(ProtocolKind.GHZ, 3, 2)
+        assert random_cat_state(3, 2, np.int64(3)).coeffs.tobytes() == (
+            random_cat_state(3, 2, 3).coeffs.tobytes())
+        a, b = run_protocol(cat, spec, np.int64(3)), run_protocol(cat, spec, 3)
+        assert (a.label, a.probability, a.fidelity) == (b.label, b.probability, b.fidelity)
+        assert a.correction is b.correction
+        for state in ("bob_pre_correction", "bob_post_correction"):
+            assert getattr(a, state).amps.tobytes() == getattr(b, state).amps.tobytes()
 
 
 class TestBarredEquivalence:

@@ -48,12 +48,32 @@ def counted_bytes(register):
 def test_a_register_counts_each_buffer_once():
     register = Register.of(3, 3)
     plan = register.plan()
-    # The positions and the plan hold the same column arrays.
+    # The column entries and the plan hold the same column arrays.
     columns = [entry for key, entry in register.entries.items() if key[0] == "column"]
-    assert all(any(c is column for position in plan.positions for c in position.columns)
+    assert all(any(c is column for position in plan.columns for c in position)
                for column in columns)
     assert register.nbytes == counted_bytes(register)
     assert Register._kept_bytes == sum(r.nbytes for r in Register._kept.values())
+
+
+@pytest.mark.parametrize("d, m", ORACLE_GRID)
+def test_the_plan_groups_the_specs_into_ladder_positions(d, m):
+    register = Register.of(d, m)
+    plan, specs = register.plan(), register.specs()
+    lives = list(dict.fromkeys(spec.rung.live for spec in specs))
+    assert plan.lives == lives
+    assert len(plan.columns) == len(plan.masks) == len(lives)
+    for position, (columns, mask) in enumerate(zip(plan.columns, plan.masks)):
+        # The register's own column arrays of the position's specs, each once.
+        expected = []
+        for spec in specs:
+            column = register.column(spec.rung)
+            if spec.rung.live == lives[position] and all(c is not column for c in expected):
+                expected.append(column)
+        assert len(columns) == len(expected)
+        assert all(got is column for got, column in zip(columns, expected))
+        for column in columns:
+            assert np.array_equal(mask, np.bincount(column, minlength=d * d) > 0)
 
 
 def test_least_recently_used_registers_go_first(monkeypatch):
@@ -117,9 +137,8 @@ def test_held_memory_stays_under_the_budget(monkeypatch):
 
 
 ENTRIES_BUILT_BY = [(protocols, "_build_correction"), (protocols, "_check_plan"),
-                    (protocols, "_ladder_positions"), (protocols, "_pair_tables"),
-                    (checks, "_basis_error"), (protocols, "_protocol_specs"),
-                    (protocols, "_live_column")]
+                    (protocols, "_pair_tables"), (checks, "_basis_error"),
+                    (protocols, "_protocol_specs"), (protocols, "_live_column")]
 
 
 @pytest.mark.parametrize("d, m", ORACLE_GRID)
