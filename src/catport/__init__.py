@@ -29,13 +29,10 @@ from .protocols import (
     ProtocolSpec,
     apply_correction,
     barred_equivalence_check,
-    clock_operator,
     correction_for,
     enumerate_outcomes,
     measurement_family,
-    monomial_tensor,
     run_protocol,
-    shift_operator,
 )
 
 __version__ = "0.1.0"

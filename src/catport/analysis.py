@@ -9,13 +9,12 @@ count and its ceiling are reported, since d is rarely a power of two.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import DEFAULT_MAX_DIM, SizeCapError, random_cat_coeffs
+from .core import DEFAULT_MAX_DIM, SizeCapError, _integer, random_cat_coeffs
 from .protocols import (
     PROB_FLOOR,
     ProtocolKind,
@@ -102,16 +101,6 @@ def cost_of(
     )
 
 
-def _integers(values: Iterable[int], name: str) -> list[int]:
-    """The distinct values, sorted; a bool or a non-integer raises ValueError."""
-    distinct = set()
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} values must be integers, got {value!r}")
-        distinct.add(int(value))
-    return sorted(distinct)
-
-
 def cost_table(
     d_values: Iterable[int],
     m_values: Iterable[int],
@@ -127,8 +116,8 @@ def cost_table(
     cross-check is ``cost_of``'s at seed 0, on one cat state per pair, for
     the rows the table keeps and no others.
     """
-    d_values = _integers(d_values, "d")
-    m_values = _integers(m_values, "m")
+    d_values = sorted({_integer("d", d) for d in d_values})
+    m_values = sorted({_integer("m", m) for m in m_values})
     if not d_values or not m_values:
         raise ValueError("d and m ranges must be nonempty")
     rows = []

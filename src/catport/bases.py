@@ -231,20 +231,6 @@ class Rung:
             labels.append(JointLabel(digits[:num_pi], tail) if self.joint else tail)
         return labels
 
-    def pair(self, row: int) -> int:
-        """The pair of ``row``, as :meth:`pairs` gives it, by scalar arithmetic."""
-        d = self.d
-        tail, rest = divmod(row, d ** (self.k - 2))
-        if tail >= d ** (2 + self.ghz):
-            return 0
-        if self.ghz:
-            return tail % (d * d)
-        phase, shift = divmod(tail, d)
-        while rest:
-            rest, digit = divmod(rest, d)
-            phase += digit
-        return shift * d + phase % d
-
     def label(self, row: int) -> BasisLabel:
         """The label of ``row``, by scalar arithmetic."""
         d, num_pi = self.d, self.k - 2

@@ -4,8 +4,10 @@ The engine never loads this module. Enumeration, sampling and every
 ``verify`` suite work on the receiver's d-dimensional repeated-digit sector
 and the d**2 shift/clock pairs, so what is here is the oracle the tests
 compare them against: tensor products, partial traces and density matrices,
-the dense basis builders and their numeric certificate, and the joint state
-of d**(2m+1) amplitudes. Each name stays reachable from ``catport`` and
+the dense basis builders and their numeric certificate, the joint state of
+d**(2m+1) amplitudes, and the one-qudit Weyl shift and clock operators with
+the tensor product of monomial operators, from which a correction can be
+rebuilt factor by factor. Each name stays reachable from ``catport`` and
 from the module it came from (``core``, ``bases`` or ``protocols``), whose
 module ``__getattr__`` loads this module on first use.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from .bases import BasisLabel, BellLabel, GhzLabel, JointLabel, PiLabel, Rung, sector_terms
 from .core import (DEFAULT_MAX_DIM, CatState, PureState, RangeError, RegisterShape,
                    ShapeMismatchError, digits_to_index, sector_state)
-from .protocols import ProtocolSpec, _check_inputs
+from .protocols import MonomialOperator, ProtocolSpec, _check_inputs
 
 
 def basis_ket(shape: RegisterShape, digits: Sequence[int]) -> PureState:
@@ -138,6 +140,28 @@ def compose_joint_state(
         cat_to_pure_state(cat, max_dim=max_dim),
         uniform_superposition_chain(spec.d, spec.m + 1, max_dim=max_dim),
     )
+
+
+def shift_operator(d: int, amount: int) -> MonomialOperator:
+    """Single-qudit shift X**amount: |j> -> |j + amount mod d>."""
+    src = np.arange(d)
+    return MonomialOperator(d, 1, (src + amount) % d, np.zeros(d, dtype=np.int64))
+
+
+def clock_operator(d: int, power: int) -> MonomialOperator:
+    """Single-qudit clock Z**power: |j> -> exp(2*pi*i*j*power/d) |j>."""
+    src = np.arange(d)
+    return MonomialOperator(d, 1, src, (src * power) % d)
+
+
+def monomial_tensor(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:
+    """Tensor product of monomial operators; ``a`` takes the leading qudits."""
+    if a.d != b.d:
+        raise ShapeMismatchError("cannot tensor operators with different d")
+    nb = b.perm.size
+    perm = (a.perm[:, None] * nb + b.perm[None, :]).reshape(-1)
+    phases = (a.phase_exp[:, None] + b.phase_exp[None, :]).reshape(-1)
+    return MonomialOperator(a.d, a.num_qudits + b.num_qudits, perm, phases)
 
 
 @dataclass(frozen=True, eq=False)

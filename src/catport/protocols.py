@@ -264,8 +264,13 @@ class MonomialOperator:
     __slots__ = ("d", "num_qudits", "perm", "phase_exp", "factors")
 
     def __init__(self, d: int, num_qudits: int, perm, phase_exp):
-        perm = np.asarray(perm, dtype=np.int64)
-        phase_exp = np.mod(np.asarray(phase_exp, dtype=np.int64), d)
+        perm, phase_exp = np.asarray(perm), np.asarray(phase_exp)
+        if perm.dtype.kind not in "iu" or phase_exp.dtype.kind not in "iu":
+            raise ValueError(
+                f"permutation/phase tables must be integers, got {perm.dtype}/{phase_exp.dtype}"
+            )
+        perm = perm.astype(np.int64, copy=False)
+        phase_exp = np.mod(phase_exp.astype(np.int64, copy=False), d)
         total = d ** num_qudits
         if perm.shape != (total,) or phase_exp.shape != (total,):
             raise ShapeMismatchError("permutation/phase tables must cover the register")
@@ -329,28 +334,6 @@ class MonomialOperator:
         return f"MonomialOperator(d={self.d}, n={self.num_qudits})"
 
 
-def shift_operator(d: int, amount: int) -> MonomialOperator:
-    """Single-qudit shift X**amount: |j> -> |j + amount mod d>."""
-    src = np.arange(d)
-    return MonomialOperator(d, 1, (src + amount) % d, np.zeros(d, dtype=np.int64))
-
-
-def clock_operator(d: int, power: int) -> MonomialOperator:
-    """Single-qudit clock Z**power: |j> -> exp(2*pi*i*j*power/d) |j>."""
-    src = np.arange(d)
-    return MonomialOperator(d, 1, src, (src * power) % d)
-
-
-def monomial_tensor(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:
-    """Tensor product of monomial operators; ``a`` takes the leading qudits."""
-    if a.d != b.d:
-        raise ShapeMismatchError("cannot tensor operators with different d")
-    nb = b.perm.size
-    perm = (a.perm[:, None] * nb + b.perm[None, :]).reshape(-1)
-    phases = (a.phase_exp[:, None] + b.phase_exp[None, :]).reshape(-1)
-    return MonomialOperator(a.d, a.num_qudits + b.num_qudits, perm, phases)
-
-
 def cat_sector_correction(
     d: int, num_qudits: int, phase_power: int, shift: int
 ) -> MonomialOperator:
@@ -361,7 +344,7 @@ def cat_sector_correction(
     of these per register, one per pair; :func:`_build_correction` is the
     one caller.
     """
-    # Every qudit gets the same one-qudit shift, tensored as monomial_tensor does.
+    # Every qudit gets the same one-qudit shift: the tensor power of ``one``.
     one = (np.arange(d, dtype=np.int64) - shift) % d
     perm = one
     for _ in range(num_qudits - 1):
@@ -443,7 +426,7 @@ def _label_pair(spec: ProtocolSpec, label: BasisLabel) -> int:
     rung = spec.rung
     row = rung.rank(label)
     if 0 <= row < rung.rows and rung.label(row) == label:
-        return rung.pair(row)
+        return int(rung.pairs(row, row + 1)[0])
     raise ValueError(
         f"label {label} does not belong to a {spec.kind.value} measurement "
         f"at d={spec.d}, m={spec.m}"
@@ -769,4 +752,6 @@ def barred_equivalence_check(
     return EquivalenceReport(float(prob_deltas[0]), float(state_deltas[0]))
 
 
-__getattr__ = forward_to_dense(__name__, "compose_joint_state")
+__getattr__ = forward_to_dense(
+    __name__, "compose_joint_state shift_operator clock_operator monomial_tensor"
+)

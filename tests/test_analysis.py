@@ -163,7 +163,7 @@ class TestCostTable:
         ],
     )
     def test_non_integer_values_rejected(self, d_values, m_values, shown):
-        with pytest.raises(ValueError, match="must be integers, got .*" + re.escape(shown)):
+        with pytest.raises(ValueError, match="must be an integer, got .*" + re.escape(shown)):
             cost_table(d_values, m_values)
 
     def test_numpy_integers_accepted(self):

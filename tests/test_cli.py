@@ -1,10 +1,16 @@
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catport import bases, checks, cli, protocols
 from catport.checks import CheckResult
@@ -414,6 +420,78 @@ class TestExitCodes:
         doc = json.loads(out)
         norm = math.hypot(*[math.hypot(re, im) for re, im in doc["coeffs"]])
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+# Cat files by name; the fuzzed calls below also name an absent one.
+CAT_FILES = {
+    "cat": json.dumps({"d": 2, "m": 2, "coeffs": [[0.6, 0.0], [0.0, 0.8]]}),
+    "short": json.dumps({"d": 3, "m": 2, "coeffs": [[0.6, 0.0], [0.0, 0.8]]}),
+    "bools": json.dumps({"d": 2, "m": 2, "coeffs": [[True, False], [False, False]]}),
+    "huge": '{"d": 2, "m": 2, "coeffs": [[1' + "0" * 400 + ", 0], [0, 0]]}",
+    "nan": json.dumps({"d": 2, "m": 2, "coeffs": [[math.nan, 0], [1, 0]]}),
+    "inf": json.dumps({"d": 2, "m": 2, "coeffs": [[math.inf, 0], [1, 0]]}),
+    "fractional-d": json.dumps({"d": 2.5, "m": 2, "coeffs": [[0.6, 0.0], [0.0, 0.8]]}),
+    "boolean-m": json.dumps({"d": 2, "m": True, "coeffs": [[0.6, 0.0], [0.0, 0.8]]}),
+    "text-d": json.dumps({"d": "2", "m": 2, "coeffs": [[0.6, 0.0], [0.0, 0.8]]}),
+    "not-json": "{d: 3",
+}
+# Flag values: small integers, in range or not, and text that is no integer.
+INTEGERS = st.one_of(st.integers(-1, 4).map(str),
+                     st.sampled_from(["x", "2.5", "", "1e3", "0x3", "-x", str(2**70)]))
+
+
+@st.composite
+def cli_calls(draw):
+    """One subcommand with a draw of its own flags, each given or left out;
+    ``{root}`` stands for a fresh directory that holds the cat files."""
+    command = draw(st.sampled_from(["run", "enumerate", "verify", "cost"]))
+    # Each flag's values and in how many of ten calls it is given, so that some succeed.
+    flags = {
+        "--d": (st.one_of(st.integers(2, 4).map(str), INTEGERS), 9),
+        "--m": (st.one_of(st.integers(1, 4).map(str), INTEGERS), 9),
+        "--format": (st.sampled_from(["json", "csv", "xml"]), 5),
+        "--out": (st.sampled_from(["{root}/out.txt", "{root}", "{root}/missing/out.txt"]), 3),
+    }
+    if command != "cost":
+        flags["--max-dim"] = (st.one_of(INTEGERS, st.sampled_from(["64", "1024", str(2**40)])), 3)
+    if command in ("run", "enumerate"):
+        flags["--seed"] = (INTEGERS, 5)
+        flags["--protocol"] = (st.sampled_from(["bell", "ghz", "barred", "hybrid", "nope"]), 9)
+        flags["--k"] = (INTEGERS, 3)
+        cats = st.sampled_from([*CAT_FILES, "absent"]).map("{{root}}/{}.json".format)
+        flags["--coeffs-file"] = (cats, 2)
+    if command == "verify":
+        # At most 3 seeds: a huge count is valid and runs for as long as it asks.
+        seeds = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "2.5", "", "-x"]))
+        flags["--seeds"] = (seeds, 7)
+    if command == "cost":
+        flags["--hybrids"] = (st.none(), 5)
+    argv = [command]
+    for flag, (values, tenths) in flags.items():
+        if draw(st.integers(0, 9)) < tenths:
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls())
+def test_every_call_exits_0_to_3_and_each_error_is_one_line(argv):
+    # One directory per example: function-scoped fixtures would be shared across examples.
+    with tempfile.TemporaryDirectory() as root:
+        for name, text in CAT_FILES.items():
+            Path(root, f"{name}.json").write_text(text)
+        argv = [arg.format(root=root) for arg in argv]
+        before = sorted(Path(root).rglob("*"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code in (1, 3):
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error:"), argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+            assert sorted(Path(root).rglob("*")) == before, argv
 
 
 class TestModuleEntryPoint:

@@ -23,7 +23,7 @@ MOVED = {
             "pi_basis_state", "ghz_basis_state", "block_ghz_basis_state",
             "barred_bell_basis_state", "_term_state", "label_basis", "build_basis",
             "verify_orthonormal_complete"],
-    protocols: ["compose_joint_state"],
+    protocols: ["compose_joint_state", "shift_operator", "clock_operator", "monomial_tensor"],
 }
 MOVED_NAMES = {name for names in MOVED.values() for name in names}
 

@@ -181,6 +181,38 @@ class TestMonomialOperator:
         with pytest.raises(ValueError):
             MonomialOperator(2, 1, [0, 0], [0, 0])
 
+    @pytest.mark.parametrize(
+        "perm, phase_exp",
+        [
+            ([0, 1.7, 2], [0, 0, 0.5]),
+            ([0, 1, 2], [0, 0, 0.5]),
+            ([0.0, 1.0, 2.0], [0, 0, 0]),
+            ([0, 1, 2], np.zeros(3)),
+            ([0, 1, 2], [0, 1j, 0]),
+            ([True, False, True], [0, 0, 0]),
+            ([0, 1, 2], [True, False, False]),
+            (np.array([0, 1, 2], dtype=object), [0, 0, 0]),
+            (["0", "1", "2"], [0, 0, 0]),
+        ],
+    )
+    def test_non_integer_tables_are_rejected_not_truncated(self, perm, phase_exp):
+        with pytest.raises(ValueError, match="tables must be integers"):
+            MonomialOperator(3, 1, perm, phase_exp)
+
+    @pytest.mark.parametrize("build", ["shift_operator", "clock_operator"])
+    def test_a_fractional_power_is_rejected(self, build):
+        import catport
+
+        with pytest.raises(ValueError, match="tables must be integers"):
+            getattr(catport, build)(3, 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint64, np.int64])
+    def test_integer_tables_of_any_width_are_int64(self, dtype):
+        perm, phase_exp = np.array([2, 0, 1], dtype=dtype), np.array([1, 2, 4], dtype=dtype)
+        op = MonomialOperator(3, 1, perm, phase_exp)
+        assert op.perm.dtype == op.phase_exp.dtype == np.int64
+        assert op.perm.tolist() == [2, 0, 1] and op.phase_exp.tolist() == [1, 2, 1]
+
     def test_apply_shift_and_clock(self):
         from catport import basis_ket, clock_operator, shift_operator
 
@@ -692,7 +724,7 @@ def test_rung_rows_pairs_and_labels_agree(spec):
     assert labels[:head] == [label for start in range(0, head, 7)
                              for label in rung.labels(start, min(start + 7, head))]
     for row, label in enumerate(labels):
-        assert (protocols._label_pair(spec, label) == rung.pair(row)
+        assert (protocols._label_pair(spec, label)
                 == rung.pairs(row, row + 1)[0] == pairs[row])
         assert spec.rung.label(row) == label
         assert rung.rank(label) == row
